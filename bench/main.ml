@@ -81,9 +81,7 @@ let micro () =
         Test.make ~name:"dijkstra-128"
           (Staged.stage (fun () ->
                ignore
-                 (Tb_graph.Shortest_path.dijkstra_dist g
-                    ~len:(fun _ -> 1.0)
-                    ~src:0)));
+                 (Tb_graph.Sssp.dijkstra_dist g ~len:(fun _ -> 1.0) ~src:0)));
         Test.make ~name:"bfs-apsp-128"
           (Staged.stage (fun () -> ignore (Tb_graph.Traversal.apsp g)));
         Test.make ~name:"hungarian-64"
@@ -125,6 +123,10 @@ let micro () =
 
 let metrics_file = "BENCH_metrics.json"
 
+(* Every flag the perf mode understands (the mode word included). *)
+let perf_flags =
+  [ "perf"; "--quick"; "--scale"; "--scale-smoke"; "-v"; "--verbose" ]
+
 let () =
   (* Experiments parallelize at the data-point level; the solver-level
      gated maps go sequential so the cores are not oversubscribed. *)
@@ -137,17 +139,18 @@ let () =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning));
   let names =
-    List.filter
-      (fun a ->
-        not
-          (List.mem a
-             [
-               "--quick"; "-v"; "--verbose"; "micro"; "perf"; "--scale";
-               "--scale-smoke";
-             ]))
-      args
+    List.filter (fun a -> not (List.mem a ("micro" :: perf_flags))) args
   in
   if List.mem "perf" args then begin
+    (* Reject anything perf does not understand before doing any work:
+       a mistyped flag must not silently fall through to a full run
+       that overwrites the tracked JSON in the working directory. *)
+    (match List.filter (fun a -> not (List.mem a perf_flags)) args with
+    | [] -> ()
+    | bad ->
+      Printf.eprintf "perf: unknown argument(s) %s; known flags: %s\n"
+        (String.concat " " bad) (String.concat " " perf_flags);
+      exit 2);
     let mode =
       if List.mem "--scale-smoke" args then Perf.Scale_smoke
       else if List.mem "--scale" args then Perf.Scale

@@ -2,6 +2,7 @@ module Graph = Tb_graph.Graph
 module Commodity = Tb_flow.Commodity
 module Fleischer = Tb_flow.Fleischer
 module Colgen = Tb_flow.Colgen
+module Cert = Tb_cert.Cert
 module Warm = Tb_harness.Warm
 module Solve = Tb_harness.Solve
 module Topology = Tb_topo.Topology
@@ -25,14 +26,13 @@ let colgen_commodity_cap = 100
 
 (* Delete the [i]-th undirected edge of [g]. *)
 let delete_edge g i =
-  let n = Graph.num_nodes g in
-  let edges = Graph.edges g in
-  let keep = ref [] in
-  Array.iteri
-    (fun j (e : Graph.edge) ->
-      if j <> i then keep := (e.Graph.u, e.Graph.v, e.Graph.cap) :: !keep)
-    edges;
-  Graph.of_edges ~n !keep
+  let keep =
+    Graph.fold_edges
+      (fun acc j (e : Graph.edge) ->
+        if j <> i then (e.Graph.u, e.Graph.v, e.Graph.cap) :: acc else acc)
+      [] g
+  in
+  Graph.of_edges ~n:(Graph.num_nodes g) keep
 
 (* The perturbed instance: (graph, commodities, description). Edge
    deletion retries deterministically until every commodity stays
@@ -53,7 +53,7 @@ let perturb ~seed ~index g cs =
   in
   if index mod 2 = 1 then scale_demand ()
   else begin
-    let num_edges = Array.length (Graph.edges g) in
+    let num_edges = Graph.num_edges g in
     let rec try_edge attempt =
       if attempt >= num_edges then scale_demand ()
       else begin

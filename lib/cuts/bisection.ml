@@ -48,31 +48,34 @@ let kl_pass g cut =
   let cur = Array.copy cut in
   (* d.(v) = external cost - internal cost of v under [cur]. *)
   let d = Array.make n 0.0 in
+  let m = Graph.num_edges g in
+  let eu = Graph.ba_edge_u g and ev = Graph.ba_edge_v g in
+  let ecap = Graph.ba_edge_cap g in
   let recompute_d () =
     Array.fill d 0 n 0.0;
-    Graph.iter_edges
-      (fun _ e ->
-        let u = e.Graph.u and v = e.Graph.v and c = e.Graph.cap in
-        if cur.(u) <> cur.(v) then begin
-          d.(u) <- d.(u) +. c;
-          d.(v) <- d.(v) +. c
-        end
-        else begin
-          d.(u) <- d.(u) -. c;
-          d.(v) <- d.(v) -. c
-        end)
-      g
+    for e = 0 to m - 1 do
+      let u = eu.{e} and v = ev.{e} and c = ecap.{e} in
+      if cur.(u) <> cur.(v) then begin
+        d.(u) <- d.(u) +. c;
+        d.(v) <- d.(v) +. c
+      end
+      else begin
+        d.(u) <- d.(u) -. c;
+        d.(v) <- d.(v) -. c
+      end
+    done
   in
   let locked = Array.make n false in
-  let edge_cap = Hashtbl.create (Graph.num_edges g) in
-  Graph.iter_edges
-    (fun _ e ->
-      Hashtbl.replace edge_cap (min e.Graph.u e.Graph.v, max e.Graph.u e.Graph.v)
-        e.Graph.cap)
-    g;
-  let cap_between u v =
-    Option.value ~default:0.0
-      (Hashtbl.find_opt edge_cap (min u v, max u v))
+  (* cap_to.(v) = capacity of edge (u, v) for the row [u] being scanned,
+     0 for non-neighbors: set from u's CSR row before the scan, reset
+     after. *)
+  let cap_to = Array.make n 0.0 in
+  let row = Graph.ba_adj_start g and nbr = Graph.ba_adj_node g in
+  let arc_of = Graph.ba_adj_arc g and arc_cap = Graph.ba_arc_caps g in
+  let set_row u on =
+    for i = row.{u} to row.{u + 1} - 1 do
+      cap_to.(nbr.{i}) <- (if on then arc_cap.{arc_of.{i}} else 0.0)
+    done
   in
   let swaps = ref [] in
   let gain_sum = ref 0.0 in
@@ -84,16 +87,19 @@ let kl_pass g cut =
        (* Best unlocked cross pair. *)
        let best_gain = ref neg_infinity and best_pair = ref None in
        for u = 0 to n - 1 do
-         if (not locked.(u)) && cur.(u) then
+         if (not locked.(u)) && cur.(u) then begin
+           set_row u true;
            for v = 0 to n - 1 do
              if (not locked.(v)) && not cur.(v) then begin
-               let gain = d.(u) +. d.(v) -. (2.0 *. cap_between u v) in
+               let gain = d.(u) +. d.(v) -. (2.0 *. cap_to.(v)) in
                if gain > !best_gain then begin
                  best_gain := gain;
                  best_pair := Some (u, v)
                end
              end
-           done
+           done;
+           set_row u false
+         end
        done;
        match !best_pair with
        | None -> raise Exit

@@ -39,10 +39,10 @@ module A1 = Bigarray.Array1
    Scale. All per-arc state (lengths, flows, snapshots) and per-node
    state (tree distances) lives in Bigarrays — flat, unscanned by the
    GC, shared across domains without copying — and the shortest-path
-   workhorse is selected by instance size: heap Dijkstra below
-   [delta_threshold_arcs] arcs (where its constants win), delta-stepping
-   with domain-parallel candidate generation above it (see
-   {!Tb_graph.Sssp}). The one-off congestion estimate uses Dial buckets
+   workhorse is selected by instance size: the heap [Sssp.dijkstra]
+   below [delta_threshold_arcs] arcs (where its constants win),
+   delta-stepping with domain-parallel candidate generation above it
+   (see {!Tb_graph.Sssp}). The one-off congestion estimate uses Dial buckets
    (its lengths are all-ones by construction). The longest current arc
    length is tracked incrementally so delta-stepping never rescans the
    length array to size its buckets.
@@ -71,10 +71,10 @@ type result = {
 type workhorse = Auto | Heap_dijkstra | Delta_stepping
 
 (* Arc count at which [Auto] switches the per-source traversals from
-   heap Dijkstra to parallel delta-stepping. Chosen so every pre-scale
-   catalog/bench instance stays on the heap path (bit-identical
-   trajectories to the pre-Bigarray solver) while the scale workloads
-   get the bucketed traversal. *)
+   heap Dijkstra to parallel delta-stepping. Chosen so every catalog
+   and bench instance below the scale workloads stays on the heap path
+   (whose trees, and so trajectories, are a pure function of the
+   lengths) while the scale workloads get the bucketed traversal. *)
 let delta_threshold_arcs = Sssp.auto_delta_arcs
 
 let value r = 0.5 *. (r.lower +. r.upper)

@@ -50,9 +50,9 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
     ~args:[ ("commodities", Tb_obs.Json.Int (Array.length specs)) ]
   @@ fun () ->
   let num_arcs = Graph.num_arcs g in
-  (* Read-only alias of the graph's per-arc capacity array. *)
-  let cap = Graph.arc_caps g in
-  let len = Array.init num_arcs (fun a -> 1.0 /. cap.(a)) in
+  (* Read-only alias of the graph's per-arc capacity column. *)
+  let cap = Graph.ba_arc_caps g in
+  let len = Array.init num_arcs (fun a -> 1.0 /. cap.{a}) in
   (* Same warm-start contract as {!Fleischer.solve}: both bounds hold
      for any positive lengths, so a usable warm length function only
      accelerates convergence. Rescaled so max = 1.0 to stay clear of
@@ -78,7 +78,7 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
       specs;
     let worst = ref 0.0 in
     for a = 0 to num_arcs - 1 do
-      let r = load.(a) /. cap.(a) in
+      let r = load.(a) /. cap.{a} in
       if r > !worst then worst := r
     done;
     if !worst > 0.0 then 1.0 /. !worst else 1.0
@@ -101,7 +101,7 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
   let congestion () =
     let w = ref 0.0 in
     for a = 0 to num_arcs - 1 do
-      let r = flow.(a) /. cap.(a) in
+      let r = flow.(a) /. cap.{a} in
       if r > !w then w := r
     done;
     !w
@@ -109,7 +109,7 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
   let dual_bound () =
     let dsum = ref 0.0 in
     for a = 0 to num_arcs - 1 do
-      dsum := !dsum +. (len.(a) *. cap.(a))
+      dsum := !dsum +. (len.(a) *. cap.{a})
     done;
     let alpha = ref 0.0 in
     Array.iteri
@@ -140,13 +140,13 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
           let i, _ = shortest_of j in
           let p = specs.(j).paths.(i) in
           let bottleneck =
-            List.fold_left (fun b a -> min b cap.(a)) infinity p
+            List.fold_left (fun b a -> min b cap.{a}) infinity p
           in
           let f = min !remaining bottleneck in
           List.iter
             (fun a ->
               flow.(a) <- flow.(a) +. f;
-              len.(a) <- len.(a) *. (1.0 +. (eps *. f /. cap.(a))))
+              len.(a) <- len.(a) *. (1.0 +. (eps *. f /. cap.{a})))
             p;
           remaining := !remaining -. f
         done)

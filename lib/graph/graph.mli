@@ -7,15 +7,14 @@
     code on undirected edges. Graphs are simple (no self-loops or
     parallel edges).
 
-    The authoritative storage is a set of [Bigarray.Array1] columns
-    (per-edge endpoints/capacities and the packed CSR adjacency): flat,
-    outside the OCaml heap, never scanned by the GC, shared across
-    domains without copying. Element kinds are [int] and [float64] —
-    the two kinds the compiler reads back unboxed. The pre-Bigarray
-    plain-array layout remains available through the same accessors
-    ({!adj_start} etc.): for small graphs it is built eagerly at
-    construction (bit-identical to the old representation), for large
-    graphs lazily on first use. *)
+    The only storage is a set of [Bigarray.Array1] columns (per-edge
+    endpoints/capacities and the packed CSR adjacency): flat, outside
+    the OCaml heap, never scanned by the GC, shared across domains
+    without copying. Element kinds are [int] and [float64] — the two
+    kinds the compiler reads back unboxed. Edge records ({!edge},
+    {!edges}, {!iter_edges}, {!fold_edges}) are built on demand, one
+    allocation per edge visited: hot loops read the [ba_*] columns
+    instead. *)
 
 type edge = { u : int; v : int; cap : float }
 type t
@@ -37,7 +36,9 @@ val num_edges : t -> int
 (** [num_arcs g = 2 * num_edges g]. *)
 val num_arcs : t -> int
 
+(** Fresh array of edge records, in edge-id order. *)
 val edges : t -> edge array
+
 val edge : t -> int -> edge
 val arc_cap : t -> int -> float
 
@@ -75,26 +76,6 @@ val ba_edge_u : t -> ints
 
 val ba_edge_v : t -> ints
 val ba_edge_cap : t -> floats
-
-(** {2 Legacy plain-array CSR access}
-
-    Same contents as the Bigarray columns, as ordinary OCaml arrays.
-    For small graphs (≤ 2^21 arcs) these exist from construction; for
-    larger graphs the first call materializes and caches them (safe
-    under domains, but O(m) in time and heap — large-graph hot paths
-    should use the [ba_*] accessors). Treat as read-only. *)
-
-val adj_start : t -> int array
-
-val adj_node : t -> int array
-val adj_arc : t -> int array
-
-(** Per-arc capacities, length [num_arcs]; [arc_caps g .(a) = arc_cap g a]. *)
-val arc_caps : t -> float array
-
-(** Per-arc source nodes, length [num_arcs]; [arc_srcs g .(a) = arc_src g a].
-    Lets shortest-path-tree walks stay inside flat int arrays. *)
-val arc_srcs : t -> int array
 
 (** [succ g u] lists [(neighbor, outgoing_arc_id)] pairs. Allocates a
     fresh array per call — convenience form, not for hot loops. *)

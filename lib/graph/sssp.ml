@@ -1,6 +1,7 @@
 (* Single-source shortest paths on the Bigarray CSR layout: the
-   delta-stepping / Dial workhorse for datacenter-scale graphs, plus a
-   heap Dijkstra over the same state for small instances.
+   delta-stepping / Dial workhorse for datacenter-scale graphs, plus the
+   heap Dijkstra over the same state that every small-instance caller
+   uses.
 
    Why not the binary heap everywhere: at 100k+ nodes the heap's
    O(m log n) pops and its pointer-free-but-boxed-float storage lose to
@@ -128,10 +129,15 @@ let start_run st src =
 
 (* {2 Heap Dijkstra on Bigarray state}
 
-   A port of [Shortest_path.dijkstra_arrays] onto the flat state, so the
-   flow solvers carry a single scratch-state type whichever traversal
-   the instance size selects. Same lazy-deletion discipline, same
-   unsafe-indexing justification: indices are node ids or CSR positions
+   The one heap Dijkstra of the code base: the flow solvers, column
+   generation, the harness's routing bound and LLSKR all call it, so
+   they carry a single scratch-state type whichever traversal the
+   instance size selects. Lazy deletion: an entry is current iff its key
+   still equals [dist u] — pushes strictly improve [dist], so stale
+   entries carry larger keys, and settled nodes are never re-pushed (the
+   push guard rejects any [nd >= dist v]). The pop order, and so every
+   parent arc, is a pure function of the graph, lengths and source.
+   Unsafe indexing is sound: indices are node ids or CSR positions
    established by Graph construction, and [len] is length-checked on
    entry. *)
 let dijkstra ?target g ~(len : Graph.floats) ~src st =

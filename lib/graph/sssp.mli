@@ -1,6 +1,6 @@
 (** Single-source shortest paths on the Bigarray CSR layout: the
-    delta-stepping / Dial workhorse for datacenter-scale graphs, plus a
-    heap Dijkstra over the same flat state for small instances.
+    delta-stepping / Dial workhorse for datacenter-scale graphs, plus
+    the code base's one heap Dijkstra over the same flat state.
 
     All three traversals fill the same reusable {!state} (distances and
     parent arcs in Bigarrays, so per-source solver state never touches
@@ -22,7 +22,10 @@ val create_state : int -> state
 
 (** Heap Dijkstra (lazy-deletion binary heap), the small-instance
     workhorse. [len] is indexed by arc id; [infinity] (or NaN) bans an
-    arc. [?target] allows early exit once that node is settled. *)
+    arc. [?target] allows early exit once that node is settled. Parent
+    arcs are a deterministic function of graph, lengths and source
+    (heap pop order x CSR arc order), so column sets and path choices
+    built from them are reproducible. *)
 val dijkstra :
   ?target:int -> Graph.t -> len:Graph.floats -> src:int -> state -> unit
 

@@ -1,7 +1,8 @@
 (* Regenerates the golden regression vectors: the exact throughput of
    every catalog family at its smallest size, under a deterministic TM
    (all-to-all when the endpoint set is small, longest-matching
-   otherwise), solved by column generation (exact at optimum).
+   otherwise), solved by column generation (exact at optimum), plus the
+   best sparse-cut estimate of the same instance.
 
    Update procedure (only when a solver or topology change legitimately
    moves a value — the diff in test/golden.json is the review artifact):
@@ -14,6 +15,7 @@ module Topology = Tb_topo.Topology
 module Synthetic = Tb_tm.Synthetic
 module Tm = Tb_tm.Tm
 module Colgen = Tb_flow.Colgen
+module Estimator = Tb_cuts.Estimator
 module Json = Tb_obs.Json
 
 (* Shared with test_check.ml via golden.json only: the test re-derives
@@ -36,6 +38,20 @@ let entry family =
       ("nodes", Json.Int (Graph.num_nodes topo.Topology.graph));
       ("flows", Json.Int (Tm.num_flows tm));
       ("throughput", Json.Float r.Colgen.value);
+    ]
+
+(* The sparse-cut vectors: the best sparsity the Estimator suite finds on
+   the same instance and TM. Asserted bit-identically by test_check.ml,
+   so a change in the summation order of the cut capacity or Laplacian
+   edge loops shows up here. *)
+let cut_entry family =
+  let topo = List.hd (Catalog.small family) in
+  let _, tm = golden_tm topo in
+  let r = Estimator.run_tm topo.Topology.graph tm in
+  Json.Obj
+    [
+      ("family", Json.String (Catalog.family_name family));
+      ("sparsity", Json.Float r.Estimator.sparsity);
     ]
 
 (* The failures-sweep vectors: per-cell outcomes of the deterministic
@@ -61,4 +77,5 @@ let () =
             ("entries", Json.List (List.map entry Catalog.all_families));
             ("failures_cold", failures ~warm:false);
             ("failures_warm", failures ~warm:true);
+            ("cuts", Json.List (List.map cut_entry Catalog.all_families));
           ]))

@@ -1,13 +1,10 @@
-(* Weighted single-source shortest paths.
+(* Test-only oracle: an independent int-array heap Dijkstra that
+   test_sssp compares every [Tb_graph.Sssp] schedule against. The
+   graph's CSR columns are copied into plain OCaml arrays on entry, so
+   the oracle shares no storage access path with the code under test. *)
 
-   The multiplicative-weights flow solver calls Dijkstra millions of
-   times with arc lengths it owns, so the hot entry point takes lengths
-   as a plain [float array] indexed by arc id — the relaxation loop
-   walks the graph's CSR arrays and the length array with no indirect
-   call and no tuple boxing — and supports reusable scratch state to
-   avoid reallocation. A closure-based wrapper remains for callers that
-   compute lengths on the fly (k-shortest, tests); it materializes the
-   closure into a scratch array once per call. *)
+module Graph = Tb_graph.Graph
+module Heap = Tb_graph.Heap
 
 type state = {
   dist : float array;
@@ -16,8 +13,6 @@ type state = {
   heap : Heap.t;
   mutable stamp : int;
   visit_stamp : int array;
-  (* Scratch for the closure wrapper; grown on demand to num_arcs. *)
-  mutable len_scratch : float array;
 }
 
 let create_state n =
@@ -27,7 +22,6 @@ let create_state n =
     heap = Heap.create ~capacity:(max 16 n) ();
     stamp = 0;
     visit_stamp = Array.make n (-1);
-    len_scratch = [||];
   }
 
 (* Run Dijkstra from [src] with per-arc lengths [len]; fills [st.dist]
@@ -45,9 +39,10 @@ let dijkstra_arrays ?target g ~len ~src st =
     invalid_arg "Shortest_path.dijkstra: size";
   if Array.length len < Graph.num_arcs g then
     invalid_arg "Shortest_path.dijkstra: length array too short";
-  let adj_start = Graph.adj_start g in
-  let adj_node = Graph.adj_node g in
-  let adj_arc = Graph.adj_arc g in
+  let ints ba = Array.init (Bigarray.Array1.dim ba) (Bigarray.Array1.get ba) in
+  let adj_start = ints (Graph.ba_adj_start g) in
+  let adj_node = ints (Graph.ba_adj_node g) in
+  let adj_arc = ints (Graph.ba_adj_arc g) in
   let dist = st.dist
   and parent_arc = st.parent_arc
   and visit_stamp = st.visit_stamp in
@@ -94,45 +89,10 @@ let dijkstra_arrays ?target g ~len ~src st =
     end
   done
 
-(* Closure form: materialize [len] once, then run the array core. *)
-let dijkstra ?target g ~len ~src st =
-  let num_arcs = Graph.num_arcs g in
-  if Array.length st.len_scratch < num_arcs then
-    st.len_scratch <- Array.make num_arcs 0.0;
-  let scratch = st.len_scratch in
-  for a = 0 to num_arcs - 1 do
-    scratch.(a) <- len a
-  done;
-  dijkstra_arrays ?target g ~len:scratch ~src st
-
 let reached st v = st.visit_stamp.(v) = st.stamp
 
 let distance st v = if reached st v then st.dist.(v) else infinity
 
 (* Parent arc of [v] in the most recent tree (-1 at the source or when
-   unreached); lets hot loops walk paths without allocating. *)
+   unreached). *)
 let parent_arc st v = if reached st v then st.parent_arc.(v) else -1
-
-(* Arc ids along the path src -> v, in order. *)
-let path_arcs g st v =
-  if not (reached st v) then None
-  else begin
-    let rec collect v acc =
-      match st.parent_arc.(v) with
-      | -1 -> acc
-      | arc -> collect (Graph.arc_src g arc) (arc :: acc)
-    in
-    Some (collect v [])
-  end
-
-(* One-shot convenience wrapper. *)
-let dijkstra_dist g ~len ~src =
-  let st = create_state (Graph.num_nodes g) in
-  dijkstra g ~len ~src st;
-  Array.init (Graph.num_nodes g) (fun v -> distance st v)
-
-(* Shortest path as arc list, or None if unreachable. *)
-let shortest_path g ~len ~src ~dst =
-  let st = create_state (Graph.num_nodes g) in
-  dijkstra ~target:dst g ~len ~src st;
-  path_arcs g st dst

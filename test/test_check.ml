@@ -4,7 +4,7 @@
    results being caught by the checkers. *)
 
 module Gen = Tb_check.Gen
-module Cert = Tb_check.Cert
+module Cert = Tb_cert.Cert
 module Diff = Tb_check.Diff
 module Fuzz = Tb_check.Fuzz
 module Graph = Tb_graph.Graph
@@ -66,14 +66,20 @@ let test_golden () =
     "one golden entry per family"
     (List.length Catalog.all_families)
     (List.length entries);
+  let cut_entries =
+    match Option.bind (Json.member "cuts" doc) Json.to_list with
+    | Some es -> es
+    | None -> Alcotest.fail "golden.json: no cuts"
+  in
+  let find_entry name es =
+    match List.find_opt (fun e -> jstr "family" e = name) es with
+    | Some e -> e
+    | None -> Alcotest.fail ("no golden entry for " ^ name)
+  in
   List.iter
     (fun family ->
       let name = Catalog.family_name family in
-      let e =
-        match List.find_opt (fun e -> jstr "family" e = name) entries with
-        | Some e -> e
-        | None -> Alcotest.fail ("no golden entry for " ^ name)
-      in
+      let e = find_entry name entries in
       let topo = List.hd (Catalog.small family) in
       let tm_name, tm = golden_tm topo in
       Alcotest.(check string) (name ^ ": golden TM choice") (jstr "tm" e)
@@ -90,7 +96,21 @@ let test_golden () =
              "%s: throughput %.12g drifted from golden %.12g (if the \
               change is intended: dune exec test/gen_golden.exe > \
               test/golden.json)"
-             name r.Colgen.value want))
+             name r.Colgen.value want);
+      (* The cut estimate is pinned bit for bit: every edge loop under
+         the estimators (cut capacity, Laplacian) must keep its order. *)
+      let sparsity =
+        (Estimator.run_tm topo.Topology.graph tm).Estimator.sparsity
+      in
+      let want = jfloat "sparsity" (find_entry name cut_entries) in
+      let bits = Int64.bits_of_float in
+      if not (Int64.equal (bits sparsity) (bits want)) then
+        Alcotest.fail
+          (Printf.sprintf
+             "%s: cut sparsity %.17g drifted from golden %.17g (if the \
+              change is intended: dune exec test/gen_golden.exe > \
+              test/golden.json)"
+             name sparsity want))
     Catalog.all_families
 
 (* ---- Failures-sweep golden vectors, cold and warm. ----

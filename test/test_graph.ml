@@ -1,6 +1,6 @@
 module Graph = Tb_graph.Graph
 module Traversal = Tb_graph.Traversal
-module Shortest_path = Tb_graph.Shortest_path
+module Sssp = Tb_graph.Sssp
 module Union_find = Tb_graph.Union_find
 module Heap = Tb_graph.Heap
 module Permutation = Tb_graph.Permutation
@@ -140,12 +140,13 @@ let test_union_find () =
 
 let check_csr_agrees name g =
   let n = Graph.num_nodes g in
-  let adj_start = Graph.adj_start g in
-  let adj_node = Graph.adj_node g in
-  let adj_arc = Graph.adj_arc g in
+  let adj_start = Graph.ba_adj_start g in
+  let adj_node = Graph.ba_adj_node g in
+  let adj_arc = Graph.ba_adj_arc g in
+  let arc_caps = Graph.ba_arc_caps g in
   Alcotest.(check int)
     (name ^ ": row pointers cover all arcs")
-    (Graph.num_arcs g) adj_start.(n);
+    (Graph.num_arcs g) adj_start.{n};
   (* Reference adjacency from the edge records. *)
   let ref_neighbors = Array.make n [] in
   Graph.iter_edges
@@ -154,28 +155,35 @@ let check_csr_agrees name g =
       ref_neighbors.(e.Graph.v) <- e.Graph.u :: ref_neighbors.(e.Graph.v))
     g;
   for u = 0 to n - 1 do
-    let lo = adj_start.(u) and hi = adj_start.(u + 1) in
+    let lo = adj_start.{u} and hi = adj_start.{u + 1} in
     Alcotest.(check int)
       (Printf.sprintf "%s: degree of %d" name u)
       (List.length ref_neighbors.(u))
       (hi - lo);
-    let csr_row = List.init (hi - lo) (fun i -> adj_node.(lo + i)) in
+    let csr_row = List.init (hi - lo) (fun i -> adj_node.{lo + i}) in
     Alcotest.(check (list int))
       (Printf.sprintf "%s: neighbor set of %d" name u)
       (List.sort compare ref_neighbors.(u))
       (List.sort compare csr_row);
     for i = lo to hi - 1 do
-      let v = adj_node.(i) and a = adj_arc.(i) in
+      let v = adj_node.{i} and a = adj_arc.{i} in
       Alcotest.(check int) (name ^ ": arc src") u (Graph.arc_src g a);
       Alcotest.(check int) (name ^ ": arc dst") v (Graph.arc_dst g a);
       Alcotest.(check (float 0.0))
         (name ^ ": arc cap matches edge")
         (Graph.edge g (a / 2)).Graph.cap
-        (Graph.arc_caps g).(a);
-      Alcotest.(check int)
-        (name ^ ": packed arc src")
-        (Graph.arc_src g a)
-        (Graph.arc_srcs g).(a)
+        arc_caps.{a};
+      (* Edge columns: arc 2e runs ba_edge_u -> ba_edge_v, arc 2e+1 back. *)
+      let e = a / 2 in
+      let eu = (Graph.ba_edge_u g).{e} and ev = (Graph.ba_edge_v g).{e} in
+      Alcotest.(check (pair int int))
+        (name ^ ": edge columns")
+        (if a land 1 = 0 then (eu, ev) else (ev, eu))
+        (u, v);
+      Alcotest.(check (float 0.0))
+        (name ^ ": edge cap column")
+        arc_caps.{a}
+        (Graph.ba_edge_cap g).{e}
     done
   done
 
@@ -236,7 +244,7 @@ let test_heap_top_drop () =
 
 (* ---- Dijkstra ---- *)
 
-(* Oracle check for the array-based hot path: Bellman-Ford relaxes every
+(* Oracle check for the heap Dijkstra: Bellman-Ford relaxes every
    arc (n-1) times with the same length array, so any disagreement in
    distances (including infinities on an unreachable island) is a bug in
    the CSR relaxation loop or the stamp bookkeeping. *)
@@ -261,20 +269,23 @@ let prop_dijkstra_matches_bellman_ford =
         end
       done;
       let g = Graph.of_unit_edges ~n:(n + 2) !edges in
-      let len = Array.init (Graph.num_arcs g) (fun _ -> Rng.float rng 10.0) in
+      let len = Graph.make_floats (Graph.num_arcs g) in
+      for a = 0 to Graph.num_arcs g - 1 do
+        len.{a} <- Rng.float rng 10.0
+      done;
       let dist = Array.make (n + 2) infinity in
       dist.(0) <- 0.0;
       for _ = 1 to n + 1 do
         for a = 0 to Graph.num_arcs g - 1 do
           let u = Graph.arc_src g a and v = Graph.arc_dst g a in
-          if dist.(u) +. len.(a) < dist.(v) then dist.(v) <- dist.(u) +. len.(a)
+          if dist.(u) +. len.{a} < dist.(v) then dist.(v) <- dist.(u) +. len.{a}
         done
       done;
-      let st = Shortest_path.create_state (n + 2) in
-      Shortest_path.dijkstra_arrays g ~len ~src:0 st;
+      let st = Sssp.create_state (n + 2) in
+      Sssp.dijkstra g ~len ~src:0 st;
       let ok = ref true in
       for v = 0 to n + 1 do
-        let d = Shortest_path.distance st v in
+        let d = Sssp.distance st v in
         if dist.(v) = infinity then begin
           if d <> infinity then ok := false
         end
@@ -282,11 +293,11 @@ let prop_dijkstra_matches_bellman_ford =
       done;
       (* Early exit agrees on the target's distance, both reachable
          targets and the unreachable island. *)
-      let st2 = Shortest_path.create_state (n + 2) in
+      let st2 = Sssp.create_state (n + 2) in
       List.iter
         (fun t ->
-          Shortest_path.dijkstra_arrays ~target:t g ~len ~src:0 st2;
-          let d = Shortest_path.distance st2 t in
+          Sssp.dijkstra ~target:t g ~len ~src:0 st2;
+          let d = Sssp.distance st2 t in
           if dist.(t) = infinity then begin
             if d <> infinity then ok := false
           end
@@ -298,7 +309,7 @@ let prop_dijkstra_matches_bfs_on_unit =
   QCheck.Test.make ~name:"dijkstra = BFS with unit lengths" ~count:30
     arbitrary_graph (fun g ->
       let bfs = Traversal.bfs_dist g 0 in
-      let dd = Shortest_path.dijkstra_dist g ~len:(fun _ -> 1.0) ~src:0 in
+      let dd = Sssp.dijkstra_dist g ~len:(fun _ -> 1.0) ~src:0 in
       Array.for_all2
         (fun b d ->
           if b < 0 then d = infinity else abs_float (float_of_int b -. d) < 1e-9)
@@ -314,12 +325,20 @@ let test_dijkstra_weighted () =
     let u, v = Graph.arc_endpoints g a in
     if (u = 0 && v = 2) || (u = 2 && v = 0) then 5.0 else 1.0
   in
-  let d = Shortest_path.dijkstra_dist g ~len ~src:0 in
+  let d = Sssp.dijkstra_dist g ~len ~src:0 in
   check_float "via middle" 2.0 d.(2)
+
+(* All-ones arc lengths as a length column. *)
+let unit_lengths g =
+  let len = Graph.make_floats (Graph.num_arcs g) in
+  Bigarray.Array1.fill len 1.0;
+  len
 
 let test_dijkstra_path_arcs () =
   let g = Graph.of_unit_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
-  match Shortest_path.shortest_path g ~len:(fun _ -> 1.0) ~src:0 ~dst:3 with
+  let st = Sssp.create_state 4 in
+  Sssp.dijkstra ~target:3 g ~len:(unit_lengths g) ~src:0 st;
+  match Sssp.path_arcs g st 3 with
   | None -> Alcotest.fail "no path"
   | Some arcs ->
     Alcotest.(check int) "three arcs" 3 (List.length arcs);
@@ -330,14 +349,13 @@ let prop_dijkstra_early_exit_consistent =
   QCheck.Test.make ~name:"early-exit dijkstra matches full run" ~count:30
     arbitrary_graph (fun g ->
       let n = Graph.num_nodes g in
-      let st1 = Shortest_path.create_state n in
-      let st2 = Shortest_path.create_state n in
+      let st1 = Sssp.create_state n in
+      let st2 = Sssp.create_state n in
       let target = n - 1 in
-      Shortest_path.dijkstra g ~len:(fun _ -> 1.0) ~src:0 st1;
-      Shortest_path.dijkstra ~target g ~len:(fun _ -> 1.0) ~src:0 st2;
-      abs_float
-        (Shortest_path.distance st1 target -. Shortest_path.distance st2 target)
-      < 1e-9)
+      let len = unit_lengths g in
+      Sssp.dijkstra g ~len ~src:0 st1;
+      Sssp.dijkstra ~target g ~len ~src:0 st2;
+      abs_float (Sssp.distance st1 target -. Sssp.distance st2 target) < 1e-9)
 
 (* ---- Permutation ---- *)
 

@@ -6,7 +6,7 @@ module Synthetic = Tb_tm.Synthetic
 module Mcf = Tb_flow.Mcf
 module Json = Tb_obs.Json
 module Fault = Tb_harness.Fault
-module Deadline = Tb_harness.Deadline
+module Deadline = Tb_obs.Deadline
 module Guard = Tb_harness.Guard
 module Checkpoint = Tb_harness.Checkpoint
 module Sweep = Tb_harness.Sweep

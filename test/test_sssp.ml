@@ -1,19 +1,22 @@
-(* Differential validation of the Bigarray SSSP workhorses (Tb_graph.Sssp):
-   delta-stepping, Dial buckets and the Bigarray heap Dijkstra against
-   the legacy int-array heap Dijkstra (Tb_graph.Shortest_path), which
-   earlier PRs validated against the LP solver.
+(* Differential validation of the Bigarray SSSP traversals (Tb_graph.Sssp):
+   delta-stepping, Dial buckets and the heap Dijkstra against an
+   independent int-array heap Dijkstra (Shortest_path, the test-only
+   oracle in test/shortest_path.ml).
 
    The contract under test (see sssp.mli): for a fixed length function,
    distances are the unique fixpoint of the Bellman equations over IEEE
    floats, so every schedule must produce bit-identical distances — we
-   compare Int64 float bits, not a tolerance. Parent arcs are
-   schedule-dependent, so those are checked for validity (a reached
-   node's parent arc must end at it and satisfy
+   compare Int64 float bits, not a tolerance. Sssp.dijkstra runs the
+   same heap discipline as the oracle, so its parent arcs must equal the
+   oracle's exactly (column generation, LLSKR and the routing bound
+   build their paths from them). The other schedules' parent arcs
+   depend on relaxation order, so those are checked for validity (a
+   reached node's parent arc must end at it and satisfy
    dist v = dist (src parent) + len parent exactly), not equality. *)
 
 module Graph = Tb_graph.Graph
 module Sssp = Tb_graph.Sssp
-module Sp = Tb_graph.Shortest_path
+module Sp = Shortest_path
 module Catalog = Tb_topo.Catalog
 module Topology = Tb_topo.Topology
 module Rng = Tb_prelude.Rng
@@ -60,8 +63,10 @@ let ba_of_len g f =
   done;
   ba
 
-(* Check one subject run (already in [st]) against the oracle state. *)
-let check_against ~what g ~lenf (ost : Sp.state) (st : Sssp.state) =
+(* Check one subject run (already in [st]) against the oracle state.
+   With [~exact_parents] every parent arc must equal the oracle's. *)
+let check_against ~what ~exact_parents g ~lenf (ost : Sp.state)
+    (st : Sssp.state) =
   let n = Graph.num_nodes g in
   for v = 0 to n - 1 do
     if Sp.reached ost v <> Sssp.reached st v then
@@ -72,6 +77,9 @@ let check_against ~what g ~lenf (ost : Sp.state) (st : Sssp.state) =
         Alcotest.failf "%s: node %d distance %.17g vs oracle %.17g" what v
           (Sssp.distance st v) (Sp.distance ost v);
       let p = Sssp.parent_arc st v in
+      if exact_parents && p <> Sp.parent_arc ost v then
+        Alcotest.failf "%s: node %d parent arc %d vs oracle %d" what v p
+          (Sp.parent_arc ost v);
       if p <> -1 then begin
         if Graph.arc_dst g p <> v then
           Alcotest.failf "%s: node %d parent arc %d ends at %d" what v p
@@ -119,7 +127,8 @@ let differential_graph ~tag g =
               let what =
                 Printf.sprintf "%s/%s/%s/src=%d" tag vname sname src
               in
-              check_against ~what g ~lenf ost st)
+              check_against ~what ~exact_parents:(sname = "dijkstra") g
+                ~lenf ost st)
             subjects)
         srcs)
     variants
@@ -184,12 +193,12 @@ let test_fleischer_workhorse_agreement () =
   in
   let check name (r : Tb_flow.Fleischer.result) =
     (match
-       Tb_check.Cert.primal_feasible g cs ~throughput:r.lower ~flow:r.flow
+       Tb_cert.Cert.primal_feasible g cs ~throughput:r.lower ~flow:r.flow
      with
     | Ok () -> ()
     | Error m -> Alcotest.failf "%s: primal: %s" name m);
     (match
-       Tb_check.Cert.dual_bound_valid g cs ~lengths:r.lengths ~upper:r.upper
+       Tb_cert.Cert.dual_bound_valid g cs ~lengths:r.lengths ~upper:r.upper
      with
     | Ok () -> ()
     | Error m -> Alcotest.failf "%s: dual: %s" name m);
