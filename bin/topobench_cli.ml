@@ -85,6 +85,16 @@ let build_tm spec topo name =
 
 (* ---- Common options. ---- *)
 
+(* Counts that size a loop (random graphs, failure samples): zero or
+   less is a usage error at parse time, not a crash mid-run. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let topo_term =
   let family =
     Arg.(
@@ -346,7 +356,8 @@ let relative_cmd =
       r.Topobench.Relative.relative.Tb_prelude.Stats.ci95 iters
   in
   let iters =
-    Arg.(value & opt int 3 & info [ "iterations"; "i" ] ~doc:"Random graphs.")
+    Arg.(
+      value & opt pos_int 3 & info [ "iterations"; "i" ] ~doc:"Random graphs.")
   in
   Cmd.v
     (Cmd.info "relative"
@@ -368,7 +379,7 @@ let cuts_cmd =
           (if v = infinity then "-" else Printf.sprintf "%.4f" v))
       report.Tb_cuts.Estimator.per_estimator;
     pp_estimate "throughput (for comparison)"
-      (Topobench.Throughput.of_tm topo tm)
+      (Tb_harness.Solve.throughput topo tm).Tb_harness.Solve.estimate
   in
   Cmd.v
     (Cmd.info "cuts" ~doc:"Sparse-cut estimator suite")
@@ -578,7 +589,7 @@ let failures_cmd =
   in
   let trials =
     Arg.(
-      value & opt int 3
+      value & opt pos_int 3
       & info [ "trials" ] ~docv:"N"
           ~doc:"Failure samples per rate (deterministic given --seed).")
   in

@@ -10,6 +10,7 @@ module Topology = Tb_topo.Topology
 module Metrics = Tb_graph.Metrics
 module Tm = Tb_tm.Tm
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 
 (* A small leaf-spine fabric written in the text format of
    Tb_topo.Io: 4 spines, 6 leaves, servers on the leaves only. *)
@@ -53,7 +54,7 @@ let () =
     cert.Topobench.Vlb.a2a_throughput cert.Topobench.Vlb.worst_overlay_load;
 
   (* The exact answer, bracketed. *)
-  let est = Topobench.Throughput.of_tm topo tm in
+  let est = (Solve.throughput topo tm).Solve.estimate in
   Format.printf "Measured throughput of the workload: %.4f in [%.4f, %.4f]@."
     est.Mcf.value est.Mcf.lower est.Mcf.upper;
   Format.printf "Floor holds: %b@."

@@ -16,6 +16,7 @@
 module Topology = Tb_topo.Topology
 module Synthetic = Tb_tm.Synthetic
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 module Table = Tb_prelude.Table
 
 let () =
@@ -41,8 +42,8 @@ let () =
   in
   List.iter2
     (fun (name, tm_ft) (_, tm_jf) ->
-      let ft = (Topobench.Throughput.of_tm fattree tm_ft).Mcf.value in
-      let jf = (Topobench.Throughput.of_tm jellyfish tm_jf).Mcf.value in
+      let ft = (Solve.throughput fattree tm_ft).Solve.estimate.Mcf.value in
+      let jf = (Solve.throughput jellyfish tm_jf).Solve.estimate.Mcf.value in
       Table.add_row t
         [ name; Table.cell_f ft; Table.cell_f jf; Table.cell_f (jf /. ft) ])
     (tms fattree) (tms jellyfish);

@@ -13,12 +13,13 @@ module Topology = Tb_topo.Topology
 module Realworld = Tb_tm.Realworld
 module Tm = Tb_tm.Tm
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 module Stats = Tb_prelude.Stats
 module Rng = Tb_prelude.Rng
 
 let study name topo =
   let rng = Rng.make 99 in
-  let tp tm = (Topobench.Throughput.of_tm topo tm).Mcf.value in
+  let tp tm = (Solve.throughput topo tm).Solve.estimate.Mcf.value in
   let sampled = tp (Realworld.instantiate topo Realworld.Frontend) in
   let shuffles =
     Array.init 10 (fun i ->

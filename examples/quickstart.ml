@@ -6,6 +6,7 @@
 module Topology = Tb_topo.Topology
 module Synthetic = Tb_tm.Synthetic
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 
 let () =
   let rng = Tb_prelude.Rng.make 7 in
@@ -24,7 +25,7 @@ let () =
   (* 3. Throughput: the maximum t such that the TM scaled by t routes
      feasibly (computed as a certified bracket). *)
   let show name tm =
-    let est = Topobench.Throughput.of_tm topo tm in
+    let est = (Solve.throughput topo tm).Solve.estimate in
     Format.printf "  %-18s throughput = %.4f  in [%.4f, %.4f]@." name
       est.Mcf.value est.Mcf.lower est.Mcf.upper;
     est.Mcf.value

@@ -14,10 +14,11 @@ module Topology = Tb_topo.Topology
 module Synthetic = Tb_tm.Synthetic
 module Tm = Tb_tm.Tm
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 module Table = Tb_prelude.Table
 
 let evaluate rng topo =
-  let tp tm = (Topobench.Throughput.of_tm topo tm).Mcf.value in
+  let tp tm = (Solve.throughput topo tm).Solve.estimate.Mcf.value in
   let a2a = tp (Synthetic.all_to_all topo) in
   let rm = tp (Synthetic.random_matching ~k:1 rng topo) in
   let lm_tm = Synthetic.longest_matching topo in

@@ -12,8 +12,11 @@ let of_a2a_throughput t = t /. 2.0
 
 (* Bracketed lower bound for a topology: [estimate.lower /. 2] is a
    certified floor; [estimate.value /. 2] the point value. *)
-let compute ?solver topo =
-  let est = Throughput.of_tm ?solver topo (Synthetic.all_to_all topo) in
+let compute ?policy topo =
+  let est =
+    (Tb_harness.Solve.throughput ?policy topo (Synthetic.all_to_all topo))
+      .Tb_harness.Solve.estimate
+  in
   {
     Mcf.value = of_a2a_throughput est.Mcf.value;
     lower = of_a2a_throughput est.Mcf.lower;

@@ -7,4 +7,4 @@ module Mcf = Tb_flow.Mcf
 val of_a2a_throughput : float -> float
 
 (** Bracketed lower bound: the A2A throughput estimate halved. *)
-val compute : ?solver:Mcf.solver -> Topology.t -> Mcf.estimate
+val compute : ?policy:Tb_harness.Solve.policy -> Topology.t -> Mcf.estimate

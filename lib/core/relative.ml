@@ -1,6 +1,7 @@
 module Topology = Tb_topo.Topology
 module Tm = Tb_tm.Tm
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 module Equipment = Tb_graph.Equipment
 module Rng = Tb_prelude.Rng
 module Stats = Tb_prelude.Stats
@@ -44,7 +45,7 @@ type result = {
 let tm_for source rng topo =
   match source with Fixed tm -> tm | Generator gen -> gen rng topo
 
-let compute ?solver ?(iterations = 3) ?placement ~rng (topo : Topology.t)
+let compute ?policy ?(iterations = 3) ?placement ~rng (topo : Topology.t)
     source =
   if iterations < 1 then invalid_arg "Relative.compute";
   let placement =
@@ -54,7 +55,7 @@ let compute ?solver ?(iterations = 3) ?placement ~rng (topo : Topology.t)
     | None, Generator _ -> Spread
   in
   let own_tm = tm_for source (Rng.split rng 999_999) topo in
-  let absolute = Throughput.of_tm ?solver topo own_tm in
+  let absolute = (Solve.throughput ?policy topo own_tm).Solve.estimate in
   let n = Tb_graph.Graph.num_nodes topo.Topology.graph in
   let baseline_hosts =
     match placement with
@@ -71,7 +72,7 @@ let compute ?solver ?(iterations = 3) ?placement ~rng (topo : Topology.t)
             ~kind:topo.Topology.kind ~graph:g ~hosts:baseline_hosts
         in
         let tm = tm_for source (Rng.split r 17) random_topo in
-        (Throughput.of_tm ?solver random_topo tm).Mcf.value)
+        (Solve.throughput ?policy random_topo tm).Solve.estimate.Mcf.value)
       seeds
   in
   {
@@ -83,10 +84,10 @@ let compute ?solver ?(iterations = 3) ?placement ~rng (topo : Topology.t)
   }
 
 (* Convenience wrappers for the two common cases. *)
-let compute_fixed ?solver ?iterations ?placement ~rng topo tm =
-  compute ?solver ?iterations ?placement ~rng topo (Fixed tm)
+let compute_fixed ?policy ?iterations ?placement ~rng topo tm =
+  compute ?policy ?iterations ?placement ~rng topo (Fixed tm)
 
-let compute_gen ?solver ?iterations ?placement ~rng topo gen =
-  compute ?solver ?iterations ?placement ~rng topo (Generator gen)
+let compute_gen ?policy ?iterations ?placement ~rng topo gen =
+  compute ?policy ?iterations ?placement ~rng topo (Generator gen)
 
 let ratio r = r.relative.Stats.mean

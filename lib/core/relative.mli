@@ -30,9 +30,11 @@ type result = {
 
 (** [compute ~rng topo source] evaluates [iterations] independent random
     rewirings in parallel (OCaml domains) and summarizes the ratios with
-    95% confidence intervals. *)
+    95% confidence intervals. Every throughput is one
+    {!Tb_harness.Solve.throughput} under [policy] (default
+    {!Tb_harness.Solve.default_policy}). *)
 val compute :
-  ?solver:Mcf.solver ->
+  ?policy:Tb_harness.Solve.policy ->
   ?iterations:int ->
   ?placement:placement ->
   rng:Rng.t ->
@@ -41,7 +43,7 @@ val compute :
   result
 
 val compute_fixed :
-  ?solver:Mcf.solver ->
+  ?policy:Tb_harness.Solve.policy ->
   ?iterations:int ->
   ?placement:placement ->
   rng:Rng.t ->
@@ -50,7 +52,7 @@ val compute_fixed :
   result
 
 val compute_gen :
-  ?solver:Mcf.solver ->
+  ?policy:Tb_harness.Solve.policy ->
   ?iterations:int ->
   ?placement:placement ->
   rng:Rng.t ->

@@ -55,7 +55,9 @@ let ksp_throughput ?(eps = 0.25) ?(tol = 0.03) (topo : Topology.t) tm ~k =
   { k; lower = r.Restricted.lower; upper = r.Restricted.upper }
 
 (* Convenience ladder: single path, modest multipath, optimal. *)
-let ladder ?solver (topo : Topology.t) tm ~ks =
-  let optimal = Throughput.of_tm ?solver topo tm in
+let ladder ?policy (topo : Topology.t) tm ~ks =
+  let optimal =
+    (Tb_harness.Solve.throughput ?policy topo tm).Tb_harness.Solve.estimate
+  in
   let restricted = List.map (fun k -> ksp_throughput topo tm ~k) ks in
   (restricted, optimal)

@@ -17,7 +17,7 @@ val ksp_throughput :
 (** Restricted results for each [k] in [ks], plus the unrestricted
     optimum. *)
 val ladder :
-  ?solver:Mcf.solver ->
+  ?policy:Tb_harness.Solve.policy ->
   Topology.t ->
   Tm.t ->
   ks:int list ->

@@ -64,11 +64,14 @@ let per_server_volume (topo : Topology.t) tm =
       max acc (w /. s))
     vol 0.0
 
-let certify ?solver (topo : Topology.t) tm =
+let certify ?policy (topo : Topology.t) tm =
   let endpoints = Topology.endpoint_nodes topo in
   let n = Array.length endpoints in
   if n < 2 then invalid_arg "Vlb.certify: too few endpoints";
-  let a2a = Throughput.of_tm ?solver topo (Synthetic.all_to_all topo) in
+  let a2a =
+    (Tb_harness.Solve.throughput ?policy topo (Synthetic.all_to_all topo))
+      .Tb_harness.Solve.estimate
+  in
   let volume = per_server_volume topo tm in
   if volume <= 0.0 then invalid_arg "Vlb.certify: empty TM";
   (* Guaranteed throughput for this TM. *)

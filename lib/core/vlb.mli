@@ -22,4 +22,5 @@ val hose_volume : Tm.t -> float
     placement — the unit of the Theorem-2 guarantee. *)
 val per_server_volume : Topology.t -> Tm.t -> float
 
-val certify : ?solver:Mcf.solver -> Topology.t -> Tm.t -> certificate
+val certify :
+  ?policy:Tb_harness.Solve.policy -> Topology.t -> Tm.t -> certificate

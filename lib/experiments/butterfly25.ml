@@ -4,6 +4,7 @@ module Synthetic = Tb_tm.Synthetic
 module Estimator = Tb_cuts.Estimator
 module Bisection = Tb_cuts.Bisection
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 
 (* Section III-B's small-network counterexample: the 5-ary 3-stage
    flattened butterfly (25 switches, 125 servers), where even the best
@@ -18,9 +19,10 @@ let run cfg =
   let topo = Tb_topo.Flat_butterfly.make ~k:5 ~stages:3 () in
   let tm = Synthetic.longest_matching topo in
   let est =
-    Mcf.throughput
-      ~solver:(Mcf.Approx { eps = 0.05; tol = 0.01 })
-      topo.Topology.graph (Tb_tm.Tm.commodities tm)
+    (Solve.throughput
+       ~policy:{ (Common.fptas_policy 0.01) with Solve.eps = 0.05 }
+       topo tm)
+      .Solve.estimate
   in
   let budget = if cfg.Common.quick then 50_000 else 2_000_000 in
   let report =

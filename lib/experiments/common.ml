@@ -4,19 +4,21 @@ module Topology = Tb_topo.Topology
 module Catalog = Tb_topo.Catalog
 module Tm = Tb_tm.Tm
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 
 (* Shared experiment configuration. Every experiment is deterministic
    given [seed]; [quick] shrinks sweeps for smoke runs and [iterations]
    controls how many same-equipment random graphs back each relative-
    throughput estimate (the paper used 10; the default here trades that
    for wall-clock, the confidence intervals stay narrow at these
-   sizes). *)
+   sizes). [tol] is the certified FPTAS gap; the step size is
+   {!Solve.default_policy}'s. *)
 
 type config = {
   seed : int;
   iterations : int;
   quick : bool;
-  solver : Mcf.solver;
+  tol : float;
 }
 
 let default =
@@ -27,7 +29,7 @@ let default =
        stay narrow at these sizes). *)
     iterations = 2;
     quick = false;
-    solver = Mcf.Approx { eps = 0.4; tol = 0.04 };
+    tol = 0.04;
   }
 
 let quick =
@@ -35,7 +37,7 @@ let quick =
     default with
     quick = true;
     iterations = 2;
-    solver = Mcf.Approx { eps = 0.4; tol = 0.06 };
+    tol = 0.06;
   }
 
 let rng cfg salt = Rng.split (Rng.make cfg.seed) salt
@@ -43,17 +45,20 @@ let rng cfg salt = Rng.split (Rng.make cfg.seed) salt
 (* Larger instances get a looser certified gap: the relative-throughput
    ratios the figures report tolerate it, and it keeps the full bench
    tractable on one core. *)
-let solver_for cfg topo =
-  match cfg.solver with
-  | Mcf.Approx { eps; tol } ->
-    let n = Tb_graph.Graph.num_nodes topo.Topology.graph in
-    let tol =
-      if n > 350 then max tol 0.09
-      else if n > 200 then max tol 0.07
-      else tol
-    in
-    Mcf.Approx { eps; tol }
-  | s -> s
+let tol_for cfg topo =
+  let n = Tb_graph.Graph.num_nodes topo.Topology.graph in
+  if n > 350 then max cfg.tol 0.09
+  else if n > 200 then max cfg.tol 0.07
+  else cfg.tol
+
+(* FPTAS-only solving at [tol]: the chain a [Request.Fptas] service
+   request runs, for experiments that call the solver directly. *)
+let fptas_policy tol =
+  {
+    Solve.default_policy with
+    Solve.tol;
+    rungs = [ Solve.Fptas; Solve.Cut_bound ];
+  }
 
 (* One process-wide service instance: every experiment throughput goes
    through the Tb_service front door, so identical cells recomputed by
@@ -63,13 +68,10 @@ let solver_for cfg topo =
 let service = lazy (Tb_service.Service.create ~capacity:512 ())
 
 let throughput cfg topo tm =
-  let solver, eps, tol =
-    match solver_for cfg topo with
-    | Mcf.Approx { eps; tol } -> (Tb_service.Request.Fptas, Some eps, Some tol)
-    | Mcf.Exact_lp -> (Tb_service.Request.Exact_lp, None, None)
-    | Mcf.Auto -> (Tb_service.Request.Auto, None, None)
+  let req =
+    Tb_service.Request.of_instance ~solver:Tb_service.Request.Fptas
+      ~tol:(tol_for cfg topo) topo tm
   in
-  let req = Tb_service.Request.of_instance ~solver ?eps ?tol topo tm in
   let resp =
     Tb_service.Service.handle ~prebuilt:(topo, tm) (Lazy.force service) req
   in
@@ -83,15 +85,7 @@ let throughput cfg topo tm =
    the config's certified tolerance, so one hung or numerically
    poisoned solve degrades instead of killing a multi-hour run. *)
 let harness_policy ?(budget_ms = infinity) cfg topo =
-  let base = Tb_harness.Solve.default_policy in
-  match solver_for cfg topo with
-  | Mcf.Approx { eps; tol } -> { base with Tb_harness.Solve.eps; tol; budget_ms }
-  | Mcf.Exact_lp ->
-    { base with
-      Tb_harness.Solve.exact_threshold = Tb_flow.Exact.max_lp_variables;
-      budget_ms
-    }
-  | Mcf.Auto -> { base with Tb_harness.Solve.budget_ms }
+  { Solve.default_policy with Solve.tol = tol_for cfg topo; budget_ms }
 
 (* [?warm] threads a {!Tb_harness.Warm} cache under a caller-chosen key
    (the intact topology label, shared by a sweep's neighboring cells):
@@ -108,11 +102,11 @@ let resilient_throughput ?budget_ms ?fault ?warm cfg topo tm =
           Warm.lengths_for e topo.Topology.graph)
   in
   let o =
-    Tb_harness.Solve.throughput
+    Solve.throughput
       ~policy:(harness_policy ?budget_ms cfg topo)
       ?fault ?warm_lengths topo tm
   in
-  (match (warm, o.Tb_harness.Solve.dual_lengths) with
+  (match (warm, o.Solve.dual_lengths) with
   | Some (cache, key), Some lengths ->
     Warm.store cache key (Warm.entry_of_lengths topo.Topology.graph lengths)
   | _ -> ());
@@ -121,11 +115,11 @@ let resilient_throughput ?budget_ms ?fault ?warm cfg topo tm =
 (* Graph-dependent TMs (LM and friends) are regenerated per random
    graph; fixed TMs (real-world placements) are evaluated verbatim. *)
 let relative_gen cfg ~salt topo gen =
-  Topobench.Relative.compute_gen ~solver:(solver_for cfg topo)
+  Topobench.Relative.compute_gen ~policy:(fptas_policy (tol_for cfg topo))
     ~iterations:cfg.iterations ~rng:(rng cfg salt) topo gen
 
 let relative_fixed cfg ~salt topo tm =
-  Topobench.Relative.compute_fixed ~solver:(solver_for cfg topo)
+  Topobench.Relative.compute_fixed ~policy:(fptas_policy (tol_for cfg topo))
     ~iterations:cfg.iterations ~rng:(rng cfg salt) topo tm
 
 (* Trim a sweep in quick mode: keep just the smallest and a mid-size

@@ -7,6 +7,7 @@ module Estimator = Tb_cuts.Estimator
 module Bisection = Tb_cuts.Bisection
 module Parallel = Tb_prelude.Parallel
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 
 (* Shared computation behind Fig. 3 (throughput vs sparse cut scatter)
    and Table II (which estimator found the sparse cut, and how often the
@@ -44,7 +45,11 @@ let study_set cfg =
 
 let compute_row cfg topo =
   let tm = Synthetic.longest_matching topo in
-  let throughput = Topobench.Throughput.of_tm ~solver:cfg.Common.solver topo tm in
+  let throughput =
+    (Solve.throughput ~policy:(Common.fptas_policy cfg.Common.tol) topo
+       tm)
+      .Solve.estimate
+  in
   let flows = Tm.flows tm in
   let report = Estimator.run topo.Topology.graph flows in
   let bisection_bound =

@@ -139,7 +139,7 @@ let golden ~warm () =
       (* Loose certified gap: the vectors pin bit-identity, not
          precision, and the FPTAS cost at golden-test time scales with
          1/tol. *)
-      solver = Tb_flow.Mcf.Approx { eps = 0.4; tol = 0.08 };
+      tol = 0.08;
     }
   in
   let topos =

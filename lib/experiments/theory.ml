@@ -7,6 +7,7 @@ module Estimator = Tb_cuts.Estimator
 module Table = Tb_prelude.Table
 module Rng = Tb_prelude.Rng
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 
 (* Theorem demonstrations.
 
@@ -96,7 +97,9 @@ let run_theorem1 cfg =
   let describe label g =
     let tm = uniform_tm g in
     let est =
-      Mcf.throughput ~solver:cfg.Common.solver g (Tb_tm.Tm.commodities tm)
+      (Solve.solve ~policy:(Common.fptas_policy cfg.Common.tol) g
+         (Tb_tm.Tm.commodities tm))
+        .Solve.estimate
     in
     let report = Estimator.run g (Tb_tm.Tm.flows tm) in
     Table.add_row t

@@ -88,7 +88,7 @@ let m_solves = Metrics.counter "fleischer.solves"
 let m_phases = Metrics.counter "fleischer.phases"
 let m_dijkstra = Metrics.counter "dijkstra.runs"
 let t_solve = Metrics.timer "fleischer.solve"
-let h_phases = Metrics.histogram "fleischer.phases_per_solve"
+let h_phases = Metrics.hdr "fleischer.phases_per_solve"
 let g_lower = Metrics.gauge "fleischer.lower"
 let g_upper = Metrics.gauge "fleischer.upper"
 
@@ -501,7 +501,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
     ~upper:!best_upper ~eps:!eps;
   Trace.counter "dijkstra"
     [ ("runs", float_of_int (Metrics.count m_dijkstra)) ];
-  Metrics.observe h_phases (float_of_int !phases);
+  Metrics.observe_hdr h_phases (float_of_int !phases);
   (* Undo the demand pre-scaling: lambda(d) = lambda(d') * sigma. *)
   let lower = !best_lower *. sigma and upper = !best_upper *. sigma in
   Metrics.set g_lower lower;

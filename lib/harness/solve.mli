@@ -1,4 +1,5 @@
-(** Fault-tolerant throughput solving with a graceful degradation chain:
+(** The one in-process throughput entry point: fault-tolerant solving
+    with a graceful degradation chain:
 
     exact LP -> Fleischer FPTAS (retry with relaxed tolerance) ->
     cut/shortest-path-routing bounds.

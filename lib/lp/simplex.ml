@@ -31,7 +31,7 @@ let m_pivots = Metrics.counter "simplex.pivots"
 let m_phase1_pivots = Metrics.counter "simplex.phase1_pivots"
 let m_phase2_pivots = Metrics.counter "simplex.phase2_pivots"
 let t_solve = Metrics.timer "simplex.solve"
-let h_pivots = Metrics.histogram "simplex.pivots_per_solve"
+let h_pivots = Metrics.hdr "simplex.pivots_per_solve"
 
 type tableau = {
   m : int; (* rows *)
@@ -143,7 +143,7 @@ let solve ?(on_check = fun () -> ()) (p : Lp.problem) =
   Metrics.incr m_solves;
   let pivots_before = Metrics.count m_pivots in
   Fun.protect ~finally:(fun () ->
-      Metrics.observe h_pivots
+      Metrics.observe_hdr h_pivots
         (float_of_int (Metrics.count m_pivots - pivots_before)))
   @@ fun () ->
   Metrics.time t_solve @@ fun () ->

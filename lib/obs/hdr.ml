@@ -131,20 +131,31 @@ let merge ~into src =
 
 (* ---- Sharding. ---- *)
 
-type sharded = { shards : t array; mask : int }
+(* A shard is allocated on its first record: a registered histogram
+   that never records, and every slot no domain maps to, costs a
+   pointer instead of [num_buckets] ints. Two domains racing to create
+   one slot may drop the loser's first samples — the same plain-write
+   slack as within a shard. *)
+type sharded = { shards : t option array; mask : int }
 
 let rec pow2_ge n k = if k >= n then k else pow2_ge n (2 * k)
 
 let sharded ?(shards = 8) () =
   let n = pow2_ge (max 1 shards) 1 in
-  { shards = Array.init n (fun _ -> create ()); mask = n - 1 }
+  { shards = Array.make n None; mask = n - 1 }
 
 let record_sharded s v =
-  record s.shards.((Domain.self () :> int) land s.mask) v
+  let i = (Domain.self () :> int) land s.mask in
+  match s.shards.(i) with
+  | Some t -> record t v
+  | None ->
+    let t = create () in
+    s.shards.(i) <- Some t;
+    record t v
 
 let merged s =
   let into = create () in
-  Array.iter (fun sh -> merge ~into sh) s.shards;
+  Array.iter (Option.iter (fun sh -> merge ~into sh)) s.shards;
   into
 
-let clear_sharded s = Array.iter clear s.shards
+let clear_sharded s = Array.iter (Option.iter clear) s.shards

@@ -2,9 +2,9 @@
 
     Samples land in log-linear buckets: each power-of-two range is split
     into 128 linear sub-buckets, so any quantile estimate is within
-    ~0.8% relative error of the true sample — a fixed precision, unlike
-    the factor-of-2 log buckets of {!Metrics.histogram}. Anything
-    user-facing (request latency, queue wait) reports through this
+    ~0.8% relative error of the true sample — a fixed precision at
+    every scale. Every distribution in {!Metrics} (request latency,
+    queue wait, per-solve phases and pivots) reports through this
     module.
 
     Histograms are mergeable: bucket counts are additive, so recording a

@@ -22,28 +22,15 @@ type timer = {
   mutable t_count : int;
 }
 
-(* Log-scale histogram: bucket [i] counts samples in [2^i, 2^(i+1)).
-   64 buckets cover any nonnegative int64-magnitude sample. *)
-type histogram = {
-  h_name : string;
-  buckets : int array; (* length 64 *)
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-}
-
-(* Fixed-precision latency histogram (Hdr), sharded per domain so the
-   hot path stays contention-free; readers merge at read time. The
-   user-facing kind: anything quoted as a p50/p99 to a human goes here,
-   the factor-of-2 [histogram] stays for coarse diagnostics. *)
+(* Fixed-precision histogram (Hdr), sharded per domain so the hot path
+   stays contention-free; readers merge at read time. The one
+   distribution kind: latencies and per-solve work counts alike. *)
 type hdr = { hd_name : string; shards : Hdr.sharded }
 
 type metric =
   | Counter of counter
   | Gauge of gauge
   | Timer of timer
-  | Histogram of histogram
   | Hdr_hist of hdr
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
@@ -53,7 +40,6 @@ let metric_name = function
   | Counter c -> c.c_name
   | Gauge g -> g.g_name
   | Timer t -> t.t_name
-  | Histogram h -> h.h_name
   | Hdr_hist h -> h.hd_name
 
 (* Register-or-find under the lock; mismatched kinds under one name are
@@ -91,20 +77,6 @@ let timer name =
     (fun () -> Timer { t_name = name; total_ns = 0L; t_count = 0 })
     (function Timer t -> Some t | _ -> None)
 
-let histogram name =
-  intern name
-    (fun () ->
-      Histogram
-        {
-          h_name = name;
-          buckets = Array.make 64 0;
-          h_count = 0;
-          h_sum = 0.0;
-          h_min = infinity;
-          h_max = neg_infinity;
-        })
-    (function Histogram h -> Some h | _ -> None)
-
 let hdr name =
   intern name
     (fun () -> Hdr_hist { hd_name = name; shards = Hdr.sharded () })
@@ -133,45 +105,8 @@ let time t f =
 let timer_total_ms t = Clock.ns_to_ms t.total_ns
 let timer_count t = t.t_count
 
-let bucket_of_sample v =
-  if v < 1.0 then 0
-  else begin
-    let b = int_of_float (Float.log2 v) in
-    if b < 0 then 0 else if b > 63 then 63 else b
-  end
-
-let observe h v =
-  let b = bucket_of_sample v in
-  h.buckets.(b) <- h.buckets.(b) + 1;
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v
-
-let histogram_count h = h.h_count
-let histogram_mean h = if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
-
 let observe_hdr h v = Hdr.record_sharded h.shards v
 let hdr_merged h = Hdr.merged h.shards
-
-(* Upper edge of the smallest bucket prefix holding [q] of the mass —
-   a log-scale quantile estimate, good to a factor of 2. *)
-let histogram_quantile h q =
-  if h.h_count = 0 then 0.0
-  else begin
-    let target = q *. float_of_int h.h_count in
-    let acc = ref 0 and result = ref h.h_max in
-    (try
-       for b = 0 to 63 do
-         acc := !acc + h.buckets.(b);
-         if float_of_int !acc >= target then begin
-           result := Float.of_int (1 lsl (min 62 (b + 1)));
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    min !result h.h_max
-  end
 
 (* ---- Introspection and export. ---- *)
 
@@ -204,12 +139,6 @@ let reset () =
           | Timer t ->
             t.total_ns <- 0L;
             t.t_count <- 0
-          | Histogram h ->
-            Array.fill h.buckets 0 64 0;
-            h.h_count <- 0;
-            h.h_sum <- 0.0;
-            h.h_min <- infinity;
-            h.h_max <- neg_infinity
           | Hdr_hist h -> Hdr.clear_sharded h.shards)
         registry)
 
@@ -225,16 +154,6 @@ let timer_snapshot () =
   List.filter_map
     (function
       | Timer t -> Some (t.t_name, (t.t_count, Clock.ns_to_ms t.total_ns))
-      | _ -> None)
-    (sorted_metrics ())
-
-let histogram_snapshot () =
-  List.filter_map
-    (function
-      | Histogram h -> Some (h.h_name, (h.h_count, h.h_sum))
-      | Hdr_hist h ->
-        let m = Hdr.merged h.shards in
-        Some (h.hd_name, (Hdr.count m, Hdr.sum m))
       | _ -> None)
     (sorted_metrics ())
 
@@ -256,19 +175,6 @@ let json_of_metric m =
             Json.Float
               (if t.t_count = 0 then 0.0
                else Clock.ns_to_ms t.total_ns /. float_of_int t.t_count) );
-        ] )
-  | Histogram h ->
-    ( h.h_name,
-      Json.Obj
-        [
-          ("type", Json.String "histogram");
-          ("count", Json.Int h.h_count);
-          ("mean", Json.Float (histogram_mean h));
-          ("min", Json.Float (if h.h_count = 0 then 0.0 else h.h_min));
-          ("max", Json.Float (if h.h_count = 0 then 0.0 else h.h_max));
-          ("p50", Json.Float (histogram_quantile h 0.5));
-          ("p90", Json.Float (histogram_quantile h 0.9));
-          ("p99", Json.Float (histogram_quantile h 0.99));
         ] )
   | Hdr_hist h ->
     let m = Hdr.merged h.shards in
@@ -297,7 +203,6 @@ let dump () =
     | Counter c -> c.count <> 0
     | Gauge g -> g.g_set
     | Timer t -> t.t_count <> 0
-    | Histogram h -> h.h_count <> 0
     | Hdr_hist h -> Hdr.count (Hdr.merged h.shards) <> 0
   in
   let describe = function
@@ -306,9 +211,6 @@ let dump () =
     | Timer t ->
       Printf.sprintf "%d x, %.1f ms total" t.t_count
         (Clock.ns_to_ms t.total_ns)
-    | Histogram h ->
-      Printf.sprintf "n=%d mean=%.1f p99<=%.0f" h.h_count (histogram_mean h)
-        (histogram_quantile h 0.99)
     | Hdr_hist h ->
       let m = Hdr.merged h.shards in
       Printf.sprintf "n=%d p50=%.3g p99=%.3g max=%.3g" (Hdr.count m)
@@ -334,8 +236,10 @@ let dump () =
 
    Names are sanitized to the [a-zA-Z_:][a-zA-Z0-9_:]* grammar (the
    registry's dots become underscores). Counters and gauges map
-   directly; timers and both histogram kinds are exposed as summaries
+   directly; timers and hdr histograms are exposed as summaries
    ([_sum]/[_count], plus quantile series where the registry has them).
+   The snapshot reader also renders "histogram" entries, the log-scale
+   kind earlier builds wrote to metrics files.
    Units stay milliseconds, as everywhere else in the registry — the
    metric names carry the [_ms] suffix convention. *)
 

@@ -1,9 +1,9 @@
 (** Process-wide metrics registry: named counters, gauges, timers and
-    log-scale histograms.
+    fixed-precision histograms.
 
     Hot-path contract: obtain the metric handle once (typically at
-    module init) and mutate it with {!incr}/{!add}/{!observe} — each is
-    a plain field write, no lookup, no allocation, no atomics. Under
+    module init) and mutate it with {!incr}/{!add}/{!observe_hdr} — each
+    is a plain field write, no lookup, no allocation, no atomics. Under
     multi-domain sweeps concurrent increments may race and drop counts;
     these are diagnostics, not accounting, and the trade keeps solvers
     at full speed. *)
@@ -11,13 +11,11 @@
 type counter
 type gauge
 type timer
-type histogram
 
 type hdr
-(** Fixed-precision (~1%) latency histogram backed by {!Hdr}, sharded
-    per domain and merged at read time — the kind to use for anything
-    user-facing (request latency, queue wait). The log-scale
-    {!histogram} stays for coarse, factor-of-2 diagnostics. *)
+(** Fixed-precision (~1%) histogram backed by {!Hdr}, sharded per
+    domain and merged at read time: request latency, queue wait, and
+    per-solve work counts (phases, pivots). *)
 
 (** Register-or-find by name. A name maps to exactly one metric kind;
     re-registering under a different kind raises [Invalid_argument]. *)
@@ -26,7 +24,6 @@ val counter : string -> counter
 
 val gauge : string -> gauge
 val timer : string -> timer
-val histogram : string -> histogram
 val hdr : string -> hdr
 
 val incr : counter -> unit
@@ -43,15 +40,6 @@ val time : timer -> (unit -> 'a) -> 'a
 
 val timer_total_ms : timer -> float
 val timer_count : timer -> int
-
-(** Record a nonnegative sample into power-of-two buckets. *)
-val observe : histogram -> float -> unit
-
-val histogram_count : histogram -> int
-val histogram_mean : histogram -> float
-
-(** Log-scale quantile estimate (exact to a factor of 2). *)
-val histogram_quantile : histogram -> float -> float
 
 (** Record a sample (conventionally milliseconds) into the calling
     domain's shard — contention-free on the hot path. *)
@@ -73,9 +61,6 @@ val counter_snapshot : unit -> (string * int) list
     bench deltas can attribute timed work, not just counts. *)
 val timer_snapshot : unit -> (string * (int * float)) list
 
-(** Both histogram kinds as [(name, (count, sum))], sorted by name. *)
-val histogram_snapshot : unit -> (string * (int * float)) list
-
 (** Zero every registered metric (tests, per-section deltas). *)
 val reset : unit -> unit
 
@@ -90,11 +75,12 @@ val dump : unit -> string
 
 (** The whole registry in Prometheus text exposition format 0.0.4:
     dots become underscores, counters/gauges map directly, timers and
-    histograms render as summaries ([_sum]/[_count], plus
+    hdr histograms render as summaries ([_sum]/[_count], plus
     [quantile="..."] series for histograms). Values keep the
     registry's milliseconds convention. *)
 val to_prometheus : unit -> string
 
 (** The same exposition rendered from a {!to_json} snapshot read back
-    from disk; [Error] if the document is not a metrics snapshot. *)
+    from disk (including the ["histogram"] entries earlier builds
+    wrote); [Error] if the document is not a metrics snapshot. *)
 val prometheus_of_json : Json.t -> (string, string) result

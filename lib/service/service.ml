@@ -22,8 +22,8 @@ let m_misses = Metrics.counter "service.cache.misses"
 let m_evictions = Metrics.counter "service.cache.evictions"
 let g_queue = Metrics.gauge "service.queue_depth"
 
-(* User-facing latency distributions go through the fixed-precision
-   Hdr kind (~1% quantiles), not the factor-of-2 log histograms. *)
+(* Latency distributions: fixed-precision Hdr histograms (~1%
+   quantiles). *)
 let h_latency = Metrics.hdr "service.latency_ms"
 let h_solve = Metrics.hdr "service.solve_ms"
 let h_queue_wait = Metrics.hdr "service.queue_ms"

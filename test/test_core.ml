@@ -3,6 +3,7 @@ module Topology = Tb_topo.Topology
 module Synthetic = Tb_tm.Synthetic
 module Tm = Tb_tm.Tm
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 module Rng = Tb_prelude.Rng
 module Stats = Tb_prelude.Stats
 
@@ -16,30 +17,32 @@ let test_throughput_ring_matching () =
   let g = Graph.of_unit_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
   let topo = Topology.switch_centric ~name:"ring" ~params:"" ~hosts_per_switch:1 g in
   let tm = Tm.make ~label:"cross" [| (0, 2, 1.0); (1, 3, 1.0) |] in
-  let est = Topobench.Throughput.of_tm topo tm in
+  let est = (Solve.throughput topo tm).Solve.estimate in
   Alcotest.(check (float 1e-6)) "ring cross" 1.0 est.Mcf.value
 
 let test_throughput_capacity_monotone () =
   (* Doubling capacities doubles throughput. *)
   let topo = jelly 3 12 4 in
   let tm = Synthetic.longest_matching topo in
-  let t1 = (Topobench.Throughput.of_tm topo tm).Mcf.value in
+  let t1 = (Solve.throughput topo tm).Solve.estimate.Mcf.value in
   let g2 = Graph.with_uniform_capacity topo.Topology.graph 2.0 in
-  let t2 = (Topobench.Throughput.of_graph g2 tm).Mcf.value in
+  let t2 = (Solve.solve g2 (Tm.commodities tm)).Solve.estimate.Mcf.value in
   Alcotest.(check bool) "doubled" true
     (abs_float ((t2 /. t1) -. 2.0) < 0.15)
 
 let test_throughput_deterministic () =
   let topo = jelly 4 12 4 in
   let tm = Synthetic.longest_matching topo in
-  let a = (Topobench.Throughput.of_tm topo tm).Mcf.value in
-  let b = (Topobench.Throughput.of_tm topo tm).Mcf.value in
+  let a = (Solve.throughput topo tm).Solve.estimate.Mcf.value in
+  let b = (Solve.throughput topo tm).Solve.estimate.Mcf.value in
   Alcotest.(check (float 1e-12)) "same result" a b
 
 (* ---- Theorem 2 lower bound ---- *)
 
 let theorem2_check topo seed =
-  let a2a = Topobench.Throughput.of_tm topo (Synthetic.all_to_all topo) in
+  let a2a =
+    (Solve.throughput topo (Synthetic.all_to_all topo)).Solve.estimate
+  in
   let lb = a2a.Mcf.upper /. 2.0 in
   let tms =
     [
@@ -49,7 +52,7 @@ let theorem2_check topo seed =
   in
   List.iter
     (fun tm ->
-      let t = Topobench.Throughput.of_tm topo tm in
+      let t = (Solve.throughput topo tm).Solve.estimate in
       Alcotest.(check bool)
         (Printf.sprintf "%s >= A2A/2 on %s" (Tm.label tm) (Topology.label topo))
         true
@@ -67,15 +70,18 @@ let test_theorem2_families () =
 let test_lower_bound_compute () =
   let topo = Tb_topo.Hypercube.make ~dim:3 () in
   let lb = Topobench.Lower_bound.compute topo in
-  let a2a = Topobench.Throughput.of_tm topo (Synthetic.all_to_all topo) in
+  let a2a =
+    (Solve.throughput topo (Synthetic.all_to_all topo)).Solve.estimate
+  in
   Alcotest.(check (float 1e-9)) "half of A2A" (a2a.Mcf.value /. 2.0)
     lb.Mcf.value
 
 (* The paper's hypercube observation: LM attains the bound exactly. *)
 let test_hypercube_lm_attains_bound () =
   let topo = Tb_topo.Hypercube.make ~dim:5 () in
-  let a2a = (Topobench.Throughput.of_tm topo (Synthetic.all_to_all topo)).Mcf.value in
-  let lm = (Topobench.Throughput.of_tm topo (Synthetic.longest_matching topo)).Mcf.value in
+  let tp tm = (Solve.throughput topo tm).Solve.estimate.Mcf.value in
+  let a2a = tp (Synthetic.all_to_all topo) in
+  let lm = tp (Synthetic.longest_matching topo) in
   Alcotest.(check bool) "LM ~ A2A/2" true
     (abs_float (lm /. (a2a /. 2.0) -. 1.0) < 0.06)
 
@@ -85,8 +91,9 @@ let test_hypercube_lm_attains_bound () =
 let test_fattree_lm_equals_a2a () =
   let topo = Tb_topo.Fattree.make ~k:4 () in
   let ne = float_of_int (Array.length (Topology.endpoint_nodes topo)) in
-  let a2a = (Topobench.Throughput.of_tm topo (Synthetic.all_to_all topo)).Mcf.value in
-  let lm = (Topobench.Throughput.of_tm topo (Synthetic.longest_matching topo)).Mcf.value in
+  let tp tm = (Solve.throughput topo tm).Solve.estimate.Mcf.value in
+  let a2a = tp (Synthetic.all_to_all topo) in
+  let lm = tp (Synthetic.longest_matching topo) in
   Alcotest.(check bool) "LM ~ A2A (volume-corrected)" true
     (lm >= a2a *. ((ne -. 1.0) /. ne) *. 0.93)
 

@@ -6,6 +6,7 @@ module Colgen = Tb_flow.Colgen
 module Fleischer = Tb_flow.Fleischer
 module Synthetic = Tb_tm.Synthetic
 module Topology = Tb_topo.Topology
+module Solve = Tb_harness.Solve
 
 (* Tests for the extension modules: column-generation exact solver,
    Valiant load balancing (constructive Theorem 2), routing-restricted
@@ -84,7 +85,7 @@ let test_vlb_certificate () =
   Alcotest.(check bool) "overlay fits" true
     (cert.Topobench.Vlb.worst_overlay_load <= 1.0 +. 1e-9);
   (* And the guarantee must be honored by the real LP. *)
-  let actual = Topobench.Throughput.of_tm topo tm in
+  let actual = (Solve.throughput topo tm).Solve.estimate in
   Alcotest.(check bool) "guarantee honored" true
     (actual.Tb_flow.Mcf.upper >= cert.Topobench.Vlb.vlb_throughput *. 0.99)
 
@@ -118,7 +119,7 @@ let test_vlb_heterogeneous_hosts () =
   let cert = Topobench.Vlb.certify topo tm in
   Alcotest.(check bool) "overlay fits" true
     (cert.Topobench.Vlb.worst_overlay_load <= 1.0 +. 1e-9);
-  let actual = Topobench.Throughput.of_tm topo tm in
+  let actual = (Solve.throughput topo tm).Solve.estimate in
   Alcotest.(check bool) "floor honored" true
     (actual.Tb_flow.Mcf.upper >= cert.Topobench.Vlb.vlb_throughput *. 0.99)
 
@@ -140,7 +141,7 @@ let test_routing_single_path_hurts_expander () =
   let topo = jelly 34 20 5 in
   let tm = Synthetic.longest_matching topo in
   let r1 = Topobench.Routing.ksp_throughput topo tm ~k:1 in
-  let opt = Topobench.Throughput.of_tm topo tm in
+  let opt = (Solve.throughput topo tm).Solve.estimate in
   Alcotest.(check bool) "single path strictly below optimum" true
     (Topobench.Routing.value r1 < opt.Tb_flow.Mcf.lower *. 1.0 +. 1e-9
     || Topobench.Routing.value r1 <= opt.Tb_flow.Mcf.upper)

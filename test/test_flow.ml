@@ -6,6 +6,7 @@ module Fleischer = Tb_flow.Fleischer
 module Exact = Tb_flow.Exact
 module Restricted = Tb_flow.Restricted
 module Mcf = Tb_flow.Mcf
+module Solve = Tb_harness.Solve
 module Kshortest = Tb_graph.Kshortest
 
 let check_float = Alcotest.(check (float 1e-6))
@@ -285,20 +286,25 @@ let test_fleischer_domain_determinism () =
        (fun a b -> Int64.equal (bits a) (bits b))
        r1.Fleischer.flow r4.Fleischer.flow)
 
-(* ---- Mcf dispatcher ---- *)
+(* ---- Solve entry point ---- *)
 
-let test_mcf_auto_small_exact () =
-  let est =
-    Mcf.throughput ring4
+let test_solve_small_exact () =
+  let o =
+    Solve.solve ring4
       [| cm ~src:0 ~dst:2 ~demand:1.0; cm ~src:1 ~dst:3 ~demand:1.0 |]
   in
+  let est = o.Solve.estimate in
+  Alcotest.(check bool) "exact rung" true (o.Solve.rung = Solve.Exact_lp);
   check_float "small goes exact (tight bracket)" est.Mcf.lower est.Mcf.upper;
   check_float "value" 1.0 est.Mcf.value
 
-let test_mcf_forced_approx () =
+let test_solve_fptas_only () =
+  let policy =
+    { Solve.default_policy with eps = 0.3; tol = 0.03; rungs = [ Solve.Fptas ] }
+  in
   let est =
-    Mcf.throughput ~solver:(Mcf.Approx { eps = 0.3; tol = 0.03 }) ring4
-      [| cm ~src:0 ~dst:2 ~demand:1.0 |]
+    (Solve.solve ~policy ring4 [| cm ~src:0 ~dst:2 ~demand:1.0 |])
+      .Solve.estimate
   in
   Alcotest.(check bool) "bracket valid" true (est.Mcf.lower <= est.Mcf.upper);
   Alcotest.(check bool) "contains 2.0" true
@@ -352,9 +358,9 @@ let () =
           Alcotest.test_case "all paths ~ exact" `Quick
             test_restricted_matches_exact_with_all_paths;
         ] );
-      ( "mcf",
+      ( "solve",
         [
-          Alcotest.test_case "auto exact" `Quick test_mcf_auto_small_exact;
-          Alcotest.test_case "forced approx" `Quick test_mcf_forced_approx;
+          Alcotest.test_case "small ring exact" `Quick test_solve_small_exact;
+          Alcotest.test_case "fptas-only bracket" `Quick test_solve_fptas_only;
         ] );
     ]

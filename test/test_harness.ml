@@ -335,6 +335,35 @@ let test_chain_agrees_with_exact () =
     (cuts.Solve.estimate.Mcf.lower <= e +. 1e-9
     && e <= cuts.Solve.estimate.Mcf.upper +. 1e-9)
 
+(* The FPTAS rung adds nothing to the bracket: with [rungs = [Fptas]]
+   the chain returns exactly what a direct Fleischer solve at the same
+   [eps]/[tol] certifies, bit for bit. Every in-process solve going
+   through Solve relies on this. *)
+let test_fptas_rung_is_fleischer () =
+  let bits = Int64.bits_of_float in
+  let eps = 0.4 and tol = 0.06 in
+  let policy =
+    { Solve.default_policy with eps; tol; rungs = [ Solve.Fptas ] }
+  in
+  let rng = Rng.make 13 in
+  List.iter
+    (fun family ->
+      let topo = List.hd (Tb_topo.Catalog.small ~rng family) in
+      let cs = Tb_tm.Tm.commodities (Synthetic.longest_matching topo) in
+      let g = topo.Topology.graph in
+      let o = Solve.solve ~policy g cs in
+      let r = Tb_flow.Fleischer.solve ~eps ~tol g cs in
+      let name = Topology.label topo in
+      Alcotest.(check bool) (name ^ ": fptas rung") true
+        (o.Solve.rung = Solve.Fptas);
+      Alcotest.(check bool) (name ^ ": lower bit-identical") true
+        (Int64.equal (bits o.Solve.estimate.Mcf.lower)
+           (bits r.Tb_flow.Fleischer.lower));
+      Alcotest.(check bool) (name ^ ": upper bit-identical") true
+        (Int64.equal (bits o.Solve.estimate.Mcf.upper)
+           (bits r.Tb_flow.Fleischer.upper)))
+    Tb_topo.Catalog.[ Hypercube; Fattree; Jellyfish; Slimfly ]
+
 let test_timeout_degrades_to_cuts () =
   let topo = small_topo () in
   let tm = Synthetic.all_to_all topo in
@@ -459,6 +488,8 @@ let () =
         [
           Alcotest.test_case "chain agrees with exact" `Quick
             test_chain_agrees_with_exact;
+          Alcotest.test_case "fptas rung is fleischer" `Quick
+            test_fptas_rung_is_fleischer;
           Alcotest.test_case "timeout degrades" `Quick
             test_timeout_degrades_to_cuts;
           Alcotest.test_case "faults never crash" `Quick

@@ -3,6 +3,7 @@ module Topology = Tb_topo.Topology
 module Topo_io = Tb_topo.Io
 module Tm = Tb_tm.Tm
 module Tm_io = Tb_tm.Io
+module Solve = Tb_harness.Solve
 
 (* ---- Topology files ---- *)
 
@@ -163,7 +164,7 @@ let test_load_result () =
 let test_io_throughput_end_to_end () =
   let t = Topo_io.of_string sample in
   let tm = Tm_io.of_string "0 2 1\n1 3 1\n" in
-  let est = Topobench.Throughput.of_tm t tm in
+  let est = (Solve.throughput t tm).Solve.estimate in
   (* Crossing flows on a ring with one fattened link: throughput sits
      between the all-unit value (1.0) and the fully fattened one (2.0). *)
   Alcotest.(check bool) "ring cross flows in range" true

@@ -2,6 +2,7 @@ module Graph = Tb_graph.Graph
 module Traversal = Tb_graph.Traversal
 module Topology = Tb_topo.Topology
 module Rng = Tb_prelude.Rng
+module Solve = Tb_harness.Solve
 open Tb_topo
 
 let connected t = Traversal.is_connected t.Topology.graph
@@ -42,7 +43,7 @@ let test_fattree_nonblocking () =
   (* The defining property: full throughput under all-to-all. *)
   let t = Fattree.make ~k:4 () in
   let tm = Tb_tm.Synthetic.all_to_all t in
-  let est = Topobench.Throughput.of_tm t tm in
+  let est = (Solve.throughput t tm).Solve.estimate in
   (* Intra-switch flows are excluded from A2A, so the bound is slightly
      above 1 (each server only ships (N - s)/N units). *)
   Alcotest.(check bool) "throughput >= 1" true
