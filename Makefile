@@ -27,11 +27,14 @@ fuzz-quick:
 # Warm-start gate: the warm-vs-cold differential fuzz subject, then a
 # quick perf run whose warm-failures workload records repair/bracket
 # certificates and the warm-over-cold speedup, asserted by
-# scripts/check_warm.sh (speedup >= 2x, all certificates green).
+# scripts/check_warm.sh (speedup >= 2x, all certificates green). The
+# perf record goes under _build, so the gate never rewrites the tracked
+# BENCH_perf.json.
+WARM_PERF = _build/BENCH_perf.warm.json
 warm-quick:
 	dune exec -- topobench check --subject warm_vs_cold --instances 100 --seed 42
-	dune exec bench/main.exe -- perf --quick
-	@sh scripts/check_warm.sh BENCH_perf.json 2.0
+	dune exec bench/main.exe -- perf --quick --out $(WARM_PERF)
+	@sh scripts/check_warm.sh $(WARM_PERF) 2.0
 
 # Writes BENCH_metrics.json next to bench_output.txt (per-experiment
 # seconds, Fleischer phases, Dijkstra runs, simplex pivots).

@@ -9,6 +9,7 @@
      bench/main.exe fig4 table2    run a subset
      bench/main.exe micro          only the Bechamel kernels
      bench/main.exe perf           tracked perf baseline (BENCH_perf.json)
+     bench/main.exe perf --out F   same, written to F instead
 
    Experiment runs also write BENCH_metrics.json (per-experiment
    seconds plus solver-work counter deltas: Fleischer phases, Dijkstra
@@ -123,9 +124,23 @@ let micro () =
 
 let metrics_file = "BENCH_metrics.json"
 
-(* Every flag the perf mode understands (the mode word included). *)
+(* Every flag the perf mode understands (the mode word included), and
+   the one that takes a value: [--out FILE]. *)
 let perf_flags =
   [ "perf"; "--quick"; "--scale"; "--scale-smoke"; "-v"; "--verbose" ]
+
+(* Splits [--out FILE] off [args]; a trailing [--out] is an error. *)
+let rec take_out = function
+  | "--out" :: f :: rest ->
+    let out, rest = take_out rest in
+    (Some (Option.value out ~default:f), rest)
+  | [ "--out" ] ->
+    prerr_endline "perf: --out needs a file name";
+    exit 2
+  | a :: rest ->
+    let out, rest = take_out rest in
+    (out, a :: rest)
+  | [] -> (None, [])
 
 let () =
   (* Experiments parallelize at the data-point level; the solver-level
@@ -142,6 +157,7 @@ let () =
     List.filter (fun a -> not (List.mem a ("micro" :: perf_flags))) args
   in
   if List.mem "perf" args then begin
+    let out, args = take_out args in
     (* Reject anything perf does not understand before doing any work:
        a mistyped flag must not silently fall through to a full run
        that overwrites the tracked JSON in the working directory. *)
@@ -149,7 +165,8 @@ let () =
     | [] -> ()
     | bad ->
       Printf.eprintf "perf: unknown argument(s) %s; known flags: %s\n"
-        (String.concat " " bad) (String.concat " " perf_flags);
+        (String.concat " " bad)
+        (String.concat " " (perf_flags @ [ "--out FILE" ]));
       exit 2);
     let mode =
       if List.mem "--scale-smoke" args then Perf.Scale_smoke
@@ -157,7 +174,7 @@ let () =
       else if quick then Perf.Quick
       else Perf.Full
     in
-    Perf.run_mode mode;
+    Perf.run_mode ?out mode;
     exit 0
   end;
   let micro_only = List.mem "micro" args && names = [] in

@@ -11,7 +11,8 @@
 
    quick/full write BENCH_perf.json; the scale modes write
    BENCH_perf_scale.json (single-trial runs whose success metric is the
-   certificate verdicts, not a median). If BENCH_perf_baseline.json
+   certificate verdicts, not a median). [--out FILE] writes FILE
+   instead, leaving the tracked files alone. If BENCH_perf_baseline.json
    exists in the working directory (the committed pre-optimization
    record, same schema), each workload and the aggregate report a
    speedup factor against it.
@@ -269,7 +270,7 @@ let bracket_workload ?deadline ?trials_override ?(warmup = true) ~name
    minimum warm-over-cold speedup. *)
 
 module Kshortest = Tb_graph.Kshortest
-module Restricted = Tb_flow.Restricted
+module Fleischer = Tb_flow.Fleischer
 
 let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
     ~trials =
@@ -296,7 +297,7 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
     Array.map2
       (fun (c : Tb_flow.Commodity.t) ps ->
         {
-          Restricted.commodity = c;
+          Fleischer.commodity = c;
           paths =
             Array.of_list
               (List.map (fun (p : Kshortest.path) -> p.Kshortest.arcs) ps);
@@ -352,7 +353,7 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
               cs pools0
           in
           let r =
-            Restricted.solve ~eps ~tol ~warm_lengths:duals g (spec pools)
+            Fleischer.solve_paths ~eps ~tol ~warm_lengths:duals g (spec pools)
           in
           (pools, r))
         banned_variants
@@ -367,17 +368,17 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
       List.map
         (fun banned ->
           let pools = enumerate ~banned () in
-          (pools, Restricted.solve ~eps ~tol g (spec pools)))
+          (pools, Fleischer.solve_paths ~eps ~tol g (spec pools)))
         banned_variants
     in
     let cold_ms = Clock.ns_to_ms (Clock.elapsed_ns t0) in
     let identical =
       List.for_all2 (fun (cp, _) wp -> cp = wp) cold !warm_pools
     in
-    let bounded (r : Restricted.result) =
-      r.Restricted.lower > 0.0
-      && r.Restricted.upper >= r.Restricted.lower
-      && r.Restricted.upper /. r.Restricted.lower <= 1.0 +. tol +. 1e-9
+    let bounded (r : Fleischer.result) =
+      r.Fleischer.lower > 0.0
+      && r.Fleischer.upper >= r.Fleischer.lower
+      && r.Fleischer.upper /. r.Fleischer.lower <= 1.0 +. tol +. 1e-9
     in
     let certified =
       List.for_all bounded !warm_results
@@ -385,17 +386,17 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
     in
     let agree =
       List.for_all2
-        (fun (_, (c : Restricted.result)) (w : Restricted.result) ->
+        (fun (_, (c : Fleischer.result)) (w : Fleischer.result) ->
           Cert.agreement
             [
-              ("cold", c.Restricted.lower, c.Restricted.upper);
-              ("warm", w.Restricted.lower, w.Restricted.upper);
+              ("cold", c.Fleischer.lower, c.Fleischer.upper);
+              ("warm", w.Fleischer.lower, w.Fleischer.upper);
             ]
           = Ok ())
         cold !warm_results
     in
     let phases rs =
-      List.fold_left (fun s (r : Restricted.result) -> s + r.Restricted.phases)
+      List.fold_left (fun s (r : Fleischer.result) -> s + r.Fleischer.phases)
         0 rs
     in
     let speedup = cold_ms /. !warm_ms in
@@ -533,7 +534,7 @@ let load_baseline () =
       if medians = [] then None else Some medians
   end
 
-let run_mode mode =
+let run_mode ?out mode =
   let trials = match mode with Quick -> 5 | Full -> 9 | _ -> 1 in
   let scale = is_scale_mode mode in
   let ws = workloads mode in
@@ -665,7 +666,11 @@ let run_mode mode =
             | _ -> []) );
       ]
   in
-  let file = if scale then scale_file else perf_file in
+  let file =
+    match out with
+    | Some f -> f
+    | None -> if scale then scale_file else perf_file
+  in
   Json.write file doc;
   Printf.printf "wrote %s\n%!" file;
   if !failed <> [] then begin

@@ -7,7 +7,6 @@ module Commodity = Tb_flow.Commodity
 module Exact = Tb_flow.Exact
 module Colgen = Tb_flow.Colgen
 module Fleischer = Tb_flow.Fleischer
-module Restricted = Tb_flow.Restricted
 module Estimator = Tb_cuts.Estimator
 module Cert = Tb_cert.Cert
 module Request = Tb_service.Request
@@ -207,7 +206,8 @@ let check_instance ~service t ~index (inst : Gen.instance) =
     | None -> ());
 
     (* Restricted-path MCF over k-shortest paths: a certified lower
-       bound on the unrestricted optimum, never above it. *)
+       bound on the unrestricted optimum, never above it, achieved by
+       the returned flow. *)
     if Array.length cs <= restricted_commodity_cap then begin
       let spec =
         Array.map
@@ -217,12 +217,15 @@ let check_instance ~service t ~index (inst : Gen.instance) =
                 ~dst:c.Commodity.dst ~k:3
             in
             {
-              Restricted.commodity = c;
+              Fleischer.commodity = c;
               paths = Array.of_list (List.map (fun p -> p.Kshortest.arcs) ps);
             })
           cs
       in
-      let rr = Restricted.solve ~tol:fleischer_tol g spec in
+      let rr = Fleischer.solve_paths ~tol:fleischer_tol g spec in
+      record t ~inst ~cert:"primal_feasible"
+        (Cert.primal_feasible g cs ~throughput:rr.Fleischer.lower
+           ~flow:rr.Fleischer.flow);
       let unrestricted_upper =
         match exact with
         | Some v -> Float.min v fr.Fleischer.upper
@@ -230,14 +233,14 @@ let check_instance ~service t ~index (inst : Gen.instance) =
       in
       record t ~inst ~cert:"restricted_bound"
         (if
-           rr.Restricted.lower
+           rr.Fleischer.lower
            <= (unrestricted_upper *. (1.0 +. 1e-6)) +. 1e-9
          then Ok ()
          else
            Error
              (Printf.sprintf
                 "restricted-path lower %g exceeds unrestricted upper %g"
-                rr.Restricted.lower unrestricted_upper))
+                rr.Fleischer.lower unrestricted_upper))
     end;
 
     (* Sparse-cut estimators: recompute the witness cut's sparsity. *)

@@ -1,7 +1,7 @@
 module Graph = Tb_graph.Graph
 module Sssp = Tb_graph.Sssp
 module Topology = Tb_topo.Topology
-module Restricted = Tb_flow.Restricted
+module Fleischer = Tb_flow.Fleischer
 module Commodity = Tb_flow.Commodity
 
 (* Replication of the Yuan et al. [48] methodology (Fig. 15).
@@ -107,7 +107,7 @@ let lp_estimate ?(eps = 0.07) ?(tol = 0.03) (topo : Topology.t) ~k_paths =
       (List.map
          (fun ((u, v), paths) ->
            {
-             Restricted.commodity =
+             Fleischer.commodity =
                Commodity.make ~src:u ~dst:v
                  ~demand:
                    (float_of_int (hosts.(u) * hosts.(v)) /. total_servers);
@@ -115,5 +115,4 @@ let lp_estimate ?(eps = 0.07) ?(tol = 0.03) (topo : Topology.t) ~k_paths =
            })
          pairs)
   in
-  let r = Restricted.solve ~eps ~tol topo.Topology.graph specs in
-  0.5 *. (r.Restricted.lower +. r.Restricted.upper)
+  Fleischer.value (Fleischer.solve_paths ~eps ~tol topo.Topology.graph specs)

@@ -1,7 +1,7 @@
 module Topology = Tb_topo.Topology
 module Tm = Tb_tm.Tm
 module Mcf = Tb_flow.Mcf
-module Restricted = Tb_flow.Restricted
+module Fleischer = Tb_flow.Fleischer
 module Commodity = Tb_flow.Commodity
 
 (* Routing-restricted throughput.
@@ -21,10 +21,9 @@ type result = {
 
 let value r = 0.5 *. (r.lower +. r.upper)
 
-(* Restricted concurrent throughput of [tm] with every flow limited to
-   its [k] diverse shortest paths. *)
-let ksp_throughput ?(eps = 0.25) ?(tol = 0.03) (topo : Topology.t) tm ~k =
-  if k < 1 then invalid_arg "Routing.ksp_throughput: k < 1";
+(* Every flow of [tm] with its [k] diverse shortest paths as its pool. *)
+let ksp_specs (topo : Topology.t) tm ~k =
+  if k < 1 then invalid_arg "Routing.ksp_specs: k < 1";
   let g = topo.Topology.graph in
   (* Share path computations across the forward/backward orientations of
      each unordered pair. *)
@@ -42,17 +41,20 @@ let ksp_throughput ?(eps = 0.25) ?(tol = 0.03) (topo : Topology.t) tm ~k =
     if u = fst key then fwd
     else Array.map (fun arcs -> List.rev_map Tb_graph.Graph.arc_rev arcs) fwd
   in
-  let specs =
-    Array.map
-      (fun (u, v, w) ->
-        {
-          Restricted.commodity = Commodity.make ~src:u ~dst:v ~demand:w;
-          paths = paths_for u v;
-        })
-      (Tm.flows tm)
-  in
-  let r = Restricted.solve ~eps ~tol g specs in
-  { k; lower = r.Restricted.lower; upper = r.Restricted.upper }
+  Array.map
+    (fun (u, v, w) ->
+      {
+        Fleischer.commodity = Commodity.make ~src:u ~dst:v ~demand:w;
+        paths = paths_for u v;
+      })
+    (Tm.flows tm)
+
+(* Restricted concurrent throughput of [tm] with every flow limited to
+   its [k] diverse shortest paths. *)
+let ksp_throughput ?(eps = 0.25) ?(tol = 0.03) (topo : Topology.t) tm ~k =
+  let specs = ksp_specs topo tm ~k in
+  let r = Fleischer.solve_paths ~eps ~tol topo.Topology.graph specs in
+  { k; lower = r.Fleischer.lower; upper = r.Fleischer.upper }
 
 (* Convenience ladder: single path, modest multipath, optimal. *)
 let ladder ?policy (topo : Topology.t) tm ~ks =

@@ -11,6 +11,13 @@ type result = { k : int; lower : float; upper : float }
 
 val value : result -> float
 
+(** The path pools {!ksp_throughput} solves over: every flow of the TM
+    with its [k] diverse shortest paths.
+    @raise Invalid_argument if [k < 1]. *)
+val ksp_specs : Topology.t -> Tm.t -> k:int -> Tb_flow.Fleischer.spec array
+
+(** Certified bracket ([Tb_flow.Fleischer.solve_paths], default eps
+    0.25 and tol 0.03) on the {!ksp_specs} pools. *)
 val ksp_throughput :
   ?eps:float -> ?tol:float -> Topology.t -> Tm.t -> k:int -> result
 

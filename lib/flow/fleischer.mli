@@ -6,7 +6,13 @@
     [lower] is achieved by an explicit feasible flow, [upper] comes from
     LP duality ([D(l)/alpha(l)] for the final lengths [l]), and iteration
     stops once [upper/lower <= 1 + tol]. The step size anneals downward
-    automatically when the gap stalls. *)
+    automatically when the gap stalls.
+
+    One multiplicative-weights loop serves two path oracles: {!solve}
+    routes along shortest-path trees of the whole graph (the paper's
+    throughput), {!solve_paths} along the shortest path of an explicit
+    per-commodity pool (routing-restricted throughput, Fig. 15). Both
+    return the same certified {!result}. *)
 
 module Graph = Tb_graph.Graph
 
@@ -50,7 +56,8 @@ exception Unreachable_commodity of Commodity.t
     @param tol certified relative gap at which to stop:
     [upper / lower <= 1 + tol] (dimensionless).
     @param max_phases hard cap (a warning is logged if hit; the result
-    is still a valid bracket).
+    is still a valid bracket). The dual bound is evaluated every 10
+    phases.
     @param on_check convergence sink invoked at every bound check (and
     once at termination) with the solver-internal best bounds; defaults
     to forwarding samples to the trace buffer, which is a no-op unless
@@ -63,16 +70,46 @@ exception Unreachable_commodity of Commodity.t
     completed phases and the dual bound [D(l)/alpha(l)] holds for any
     positive [l] — they only change how fast the bracket closes.
     @raise Invalid_argument if no commodity has positive demand.
-    @raise Unreachable_commodity if some demand has no path. *)
+    @raise Unreachable_commodity if some demand has no path; with
+    several, the first (in input order) of those whose source is
+    lowest, for any domain count. *)
 val solve :
   ?deadline:Tb_obs.Deadline.t ->
   ?eps:float ->
   ?tol:float ->
   ?max_phases:int ->
-  ?check_every:int ->
   ?on_check:Tb_obs.Convergence.sink ->
   ?sssp:workhorse ->
   ?warm_lengths:float array ->
   Graph.t ->
   Commodity.t array ->
+  result
+
+(** One commodity of a path-restricted solve: it may route only along
+    [paths], each a list of arc ids from its source to its destination
+    (e.g. k-shortest or LLSKR paths). *)
+type spec = { commodity : Commodity.t; paths : int list array }
+
+(** [solve_paths g specs] brackets the maximum concurrent throughput
+    when every commodity is restricted to its path pool: the same loop
+    as {!solve}, with the shortest-path oracle replaced by the argmin
+    over the pool (no SSSP runs). [flow] is a feasible aggregate arc
+    flow at [lower] that uses only pool paths; [lengths] certifies
+    [upper = D(l) / sum_j d_j min_(p in pool j) l(p)]. The dual bound
+    is evaluated every 5 phases and the loop stops after at most 50,000
+    phases (with a warning; the bracket stays valid). Commodities with
+    zero demand or [src = dst] are dropped.
+    [deadline], [on_check] and [warm_lengths] behave as in {!solve}.
+    @param eps initial step (default 0.07; anneals like {!solve}'s).
+    @param tol certified relative gap at which to stop (default 0.03).
+    @raise Invalid_argument on an empty commodity set or a commodity
+    with an empty path set. *)
+val solve_paths :
+  ?deadline:Tb_obs.Deadline.t ->
+  ?eps:float ->
+  ?tol:float ->
+  ?on_check:Tb_obs.Convergence.sink ->
+  ?warm_lengths:float array ->
+  Graph.t ->
+  spec array ->
   result

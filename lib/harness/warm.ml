@@ -12,8 +12,8 @@ module Json = Tb_obs.Json
    {!paths_for}) re-resolves against that graph's arcs; anything that
    no longer maps (an arc of a deleted edge, a path through one) is
    dropped or back-filled, which is exactly the invalidation the
-   warm-start contract needs: the consumers ({!Tb_flow.Fleischer},
-   {!Tb_flow.Colgen}, {!Tb_flow.Restricted}) treat warm input as a hint
+   warm-start contract needs: the consumers ({!Tb_flow.Fleischer}'s
+   tree and path-pool solves, {!Tb_flow.Colgen}) treat warm input as a hint
    that may only change convergence speed, and the harness re-certifies
    every warm-started bracket, so a stale entry can cost time, never
    correctness.

@@ -1,7 +1,7 @@
 (* Per-solve wall-clock budgets.
 
    The iterative solvers expose periodic hooks ([?on_check] on
-   Fleischer/Restricted/Colgen, pivot events on the simplex); a
+   Fleischer's two solves and Colgen, pivot events on the simplex); a
    deadline is a start timestamp plus a budget in milliseconds, and
    {!check} raises once the budget is spent. Threading {!sink} /
    {!hook} through those existing hooks turns any solve into a bounded

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Assert the warm-start invariants recorded in a BENCH_perf.json that
-# contains a warm-failures workload (see bench/perf.ml):
+# Assert the warm-start invariants recorded in a perf record (make
+# warm-quick writes _build/BENCH_perf.warm.json) that contains a
+# warm-failures workload (see bench/perf.ml):
 #
 #   repair_identical      == true   repaired path pools bit-identical to
 #                                   scratch re-enumeration on every variant
@@ -28,7 +29,7 @@ agreement=$(grep -o '"agreement": *"[a-zA-Z]*"' "$bench" | head -1 \
   | sed 's/.*"\([a-zA-Z]*\)"$/\1/')
 
 [ -n "$speedup" ] && [ -n "$identical" ] && [ -n "$certified" ] && [ -n "$agreement" ] \
-  || { echo "check_warm: $bench has no warm-failures workload (run make perf-quick)"; exit 1; }
+  || { echo "check_warm: $bench has no warm-failures workload (run make warm-quick)"; exit 1; }
 
 echo "check_warm: speedup=$speedup (min $min) repair_identical=$identical" \
   "brackets_certified=$certified agreement=$agreement"

@@ -2,7 +2,8 @@
    every catalog family at its smallest size, under a deterministic TM
    (all-to-all when the endpoint set is small, longest-matching
    otherwise), solved by column generation (exact at optimum), plus the
-   best sparse-cut estimate of the same instance.
+   best sparse-cut estimate and the k = 1 / k = 4 shortest-path
+   restricted brackets of the same instance.
 
    Update procedure (only when a solver or topology change legitimately
    moves a value — the diff in test/golden.json is the review artifact):
@@ -65,6 +66,24 @@ let failures ~warm =
        (fun (key, j) -> (key, j))
        (Tb_experiments.Failure_sweep.golden ~warm ()))
 
+(* The routing vectors: the k-shortest-path restricted bracket
+   (Routing.ksp_throughput, default eps and tol) of the same instance and
+   TM at k = 1 and k = 4. Asserted bit for bit by test_check.ml, so any
+   change to the path-pool solve's trajectory shows up here. *)
+let routing_entry family =
+  let topo = List.hd (Catalog.small family) in
+  let _, tm = golden_tm topo in
+  let bracket k =
+    let r = Topobench.Routing.ksp_throughput topo tm ~k in
+    [
+      (Printf.sprintf "k%d_lower" k, Json.Float r.Topobench.Routing.lower);
+      (Printf.sprintf "k%d_upper" k, Json.Float r.Topobench.Routing.upper);
+    ]
+  in
+  Json.Obj
+    ((("family", Json.String (Catalog.family_name family)) :: bracket 1)
+    @ bracket 4)
+
 let () =
   print_endline
     (Json.to_string ~indent:true
@@ -78,4 +97,6 @@ let () =
             ("failures_cold", failures ~warm:false);
             ("failures_warm", failures ~warm:true);
             ("cuts", Json.List (List.map cut_entry Catalog.all_families));
+            ( "routing",
+              Json.List (List.map routing_entry Catalog.all_families) );
           ]))

@@ -71,6 +71,11 @@ let test_golden () =
     | Some es -> es
     | None -> Alcotest.fail "golden.json: no cuts"
   in
+  let routing_entries =
+    match Option.bind (Json.member "routing" doc) Json.to_list with
+    | Some es -> es
+    | None -> Alcotest.fail "golden.json: no routing"
+  in
   let find_entry name es =
     match List.find_opt (fun e -> jstr "family" e = name) es with
     | Some e -> e
@@ -110,7 +115,29 @@ let test_golden () =
              "%s: cut sparsity %.17g drifted from golden %.17g (if the \
               change is intended: dune exec test/gen_golden.exe > \
               test/golden.json)"
-             name sparsity want))
+             name sparsity want);
+      (* The k-shortest-path restricted brackets, bit for bit: the
+         path-pool solve's trajectory must not move. *)
+      let re = find_entry name routing_entries in
+      List.iter
+        (fun k ->
+          let r = Topobench.Routing.ksp_throughput topo tm ~k in
+          List.iter
+            (fun (side, got) ->
+              let key = Printf.sprintf "k%d_%s" k side in
+              let want = jfloat key re in
+              if not (Int64.equal (bits got) (bits want)) then
+                Alcotest.fail
+                  (Printf.sprintf
+                     "%s: routing %s %.17g drifted from golden %.17g (if \
+                      the change is intended: dune exec test/gen_golden.exe \
+                      > test/golden.json)"
+                     name key got want))
+            [
+              ("lower", r.Topobench.Routing.lower);
+              ("upper", r.Topobench.Routing.upper);
+            ])
+        [ 1; 4 ])
     Catalog.all_families
 
 (* ---- Failures-sweep golden vectors, cold and warm. ----

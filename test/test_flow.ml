@@ -4,10 +4,11 @@ module Commodity = Tb_flow.Commodity
 module Maxflow = Tb_flow.Maxflow
 module Fleischer = Tb_flow.Fleischer
 module Exact = Tb_flow.Exact
-module Restricted = Tb_flow.Restricted
 module Mcf = Tb_flow.Mcf
 module Solve = Tb_harness.Solve
 module Kshortest = Tb_graph.Kshortest
+module Cert = Tb_cert.Cert
+module Parallel = Tb_prelude.Parallel
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -148,6 +149,36 @@ let test_fleischer_unreachable () =
        false
      with Fleischer.Unreachable_commodity _ -> true)
 
+let test_fleischer_unreachable_group_order () =
+  (* Two components {0,1,2} and {3,4,5}; of the four source groups only
+     the second (source 3) has unreachable commodities, cs.(2) and
+     cs.(5). The reachability check runs on the congestion estimate's
+     per-group trees, which fan out across domains: the named commodity
+     must not depend on which domain finished first. *)
+  let g = Graph.of_unit_edges ~n:6 [ (0, 1); (1, 2); (3, 4); (4, 5) ] in
+  let cs =
+    [| cm ~src:0 ~dst:2 ~demand:1.0; cm ~src:3 ~dst:4 ~demand:1.0;
+       cm ~src:3 ~dst:0 ~demand:1.0; cm ~src:4 ~dst:5 ~demand:1.0;
+       cm ~src:5 ~dst:3 ~demand:1.0; cm ~src:3 ~dst:1 ~demand:1.0 |]
+  in
+  let named parallel =
+    let saved = !Parallel.enabled in
+    Parallel.enabled := parallel;
+    Unix.putenv "TOPOBENCH_DOMAINS" "4";
+    Fun.protect
+      ~finally:(fun () ->
+        Parallel.enabled := saved;
+        Unix.putenv "TOPOBENCH_DOMAINS" "")
+      (fun () ->
+        match Fleischer.solve g cs with
+        | _ -> Alcotest.fail "solve of a disconnected demand returned"
+        | exception Fleischer.Unreachable_commodity c ->
+          (c.Commodity.src, c.Commodity.dst))
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "sequential names cs.(2)" (3, 0) (named false);
+  Alcotest.check pair "parallel names cs.(2)" (3, 0) (named true)
+
 let test_exact_known_ring () =
   let v, _ =
     Exact.solve ring4
@@ -178,7 +209,7 @@ let test_exact_budget_guard () =
        Exact.variable_budget topo_graph cs <= Exact.max_lp_variables
      with Invalid_argument _ -> true)
 
-(* ---- Restricted (path-constrained) ---- *)
+(* ---- Path-pool (restricted) solves ---- *)
 
 let all_paths g ~src ~dst =
   List.map
@@ -189,17 +220,17 @@ let test_restricted_less_than_free () =
   (* Restricting ring flows to single clockwise paths halves throughput. *)
   let spec_one_path =
     [|
-      { Restricted.commodity = cm ~src:0 ~dst:2 ~demand:1.0;
+      { Fleischer.commodity = cm ~src:0 ~dst:2 ~demand:1.0;
         paths = [| [ 0; 2 ] |] };
       (* arcs 0=(0->1), 2=(1->2) *)
-      { Restricted.commodity = cm ~src:1 ~dst:3 ~demand:1.0;
+      { Fleischer.commodity = cm ~src:1 ~dst:3 ~demand:1.0;
         paths = [| [ 2; 4 ] |] };
       (* arcs (1->2), (2->3): shares arc 2 *)
     |]
   in
-  let r = Restricted.solve ~tol:0.02 ring4 spec_one_path in
+  let r = Fleischer.solve_paths ~tol:0.02 ring4 spec_one_path in
   Alcotest.(check bool) "about 0.5" true
-    (r.Restricted.lower <= 0.51 && r.Restricted.upper >= 0.49)
+    (r.Fleischer.lower <= 0.51 && r.Fleischer.upper >= 0.49)
 
 let test_restricted_matches_exact_with_all_paths () =
   let cs =
@@ -209,7 +240,7 @@ let test_restricted_matches_exact_with_all_paths () =
     Array.map
       (fun c ->
         {
-          Restricted.commodity = c;
+          Fleischer.commodity = c;
           paths =
             Array.of_list
               (all_paths cube3 ~src:c.Commodity.src ~dst:c.Commodity.dst);
@@ -217,12 +248,100 @@ let test_restricted_matches_exact_with_all_paths () =
       cs
   in
   let exact, _ = Exact.solve cube3 cs in
-  let r = Restricted.solve ~tol:0.02 cube3 specs in
+  let r = Fleischer.solve_paths ~tol:0.02 cube3 specs in
   (* With a rich path set the restricted optimum is close to exact (it
      cannot exceed it). *)
-  Alcotest.(check bool) "le exact" true (r.Restricted.lower <= exact +. 1e-6);
+  Alcotest.(check bool) "le exact" true (r.Fleischer.lower <= exact +. 1e-6);
   Alcotest.(check bool) "close to exact" true
-    (r.Restricted.upper >= exact *. 0.85)
+    (r.Fleischer.upper >= exact *. 0.85)
+
+(* The path-pool bracket is certified by its own result: [flow] is
+   feasible at [lower], and [lengths] re-derive [upper] as
+   D(l) / sum_j d_j min_(p in pool j) l(p). *)
+let check_pool_certificates name g specs (r : Fleischer.result) =
+  let cs = Array.map (fun s -> s.Fleischer.commodity) specs in
+  (match Cert.primal_feasible g cs ~throughput:r.Fleischer.lower
+           ~flow:r.Fleischer.flow
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (name ^ ": " ^ e));
+  let l = r.Fleischer.lengths in
+  let d = ref 0.0 in
+  Array.iteri (fun a la -> d := !d +. (la *. Graph.arc_cap g a)) l;
+  let alpha =
+    Array.fold_left
+      (fun acc s ->
+        let shortest =
+          Array.fold_left
+            (fun m p ->
+              Float.min m (List.fold_left (fun x a -> x +. l.(a)) 0.0 p))
+            infinity s.Fleischer.paths
+        in
+        acc +. (s.Fleischer.commodity.Commodity.demand *. shortest))
+      0.0 specs
+  in
+  let upper = !d /. alpha in
+  if Float.abs (upper -. r.Fleischer.upper) > 1e-9 *. r.Fleischer.upper then
+    Alcotest.fail
+      (Printf.sprintf "%s: lengths give upper %.17g, result claims %.17g" name
+         upper r.Fleischer.upper);
+  Alcotest.(check bool) (name ^ ": ordered") true
+    (r.Fleischer.lower > 0.0 && r.Fleischer.lower <= r.Fleischer.upper)
+
+let test_restricted_certified () =
+  let ring_specs =
+    [|
+      { Fleischer.commodity = cm ~src:0 ~dst:2 ~demand:1.0;
+        paths = [| [ 0; 2 ] |] };
+      { Fleischer.commodity = cm ~src:1 ~dst:3 ~demand:1.0;
+        paths = [| [ 2; 4 ] |] };
+    |]
+  in
+  check_pool_certificates "ring4" ring4
+    ring_specs
+    (Fleischer.solve_paths ~tol:0.02 ring4 ring_specs);
+  let cube_specs =
+    Array.map
+      (fun c ->
+        {
+          Fleischer.commodity = c;
+          paths =
+            Array.of_list
+              (all_paths cube3 ~src:c.Commodity.src ~dst:c.Commodity.dst);
+        })
+      [| cm ~src:0 ~dst:7 ~demand:1.0; cm ~src:3 ~dst:4 ~demand:2.0 |]
+  in
+  check_pool_certificates "cube3" cube3 cube_specs
+    (Fleischer.solve_paths ~tol:0.02 cube3 cube_specs);
+  (* Routing.ksp_throughput's pools on two catalog families, at the
+     bracket it reports. *)
+  List.iter
+    (fun (family, tm_of) ->
+      let topo = List.hd (Tb_topo.Catalog.small family) in
+      let g = topo.Tb_topo.Topology.graph in
+      let tm = tm_of topo in
+      List.iter
+        (fun k ->
+          let name =
+            Printf.sprintf "%s k=%d" (Tb_topo.Catalog.family_name family) k
+          in
+          let specs = Topobench.Routing.ksp_specs topo tm ~k in
+          let r = Fleischer.solve_paths ~eps:0.25 ~tol:0.03 g specs in
+          let reported = Topobench.Routing.ksp_throughput topo tm ~k in
+          Alcotest.(check bool) (name ^ ": same bracket as ksp_throughput")
+            true
+            (Int64.equal
+               (Int64.bits_of_float r.Fleischer.lower)
+               (Int64.bits_of_float reported.Topobench.Routing.lower)
+            && Int64.equal
+                 (Int64.bits_of_float r.Fleischer.upper)
+                 (Int64.bits_of_float reported.Topobench.Routing.upper));
+          check_pool_certificates name g specs r)
+        [ 1; 4 ])
+    [
+      (Tb_topo.Catalog.Hypercube, Tb_tm.Synthetic.all_to_all);
+      (Tb_topo.Catalog.Jellyfish, Tb_tm.Synthetic.longest_matching);
+    ]
 
 let test_fleischer_weighted_capacities () =
   (* Non-unit capacities: a fat direct link should carry proportionally
@@ -335,6 +454,8 @@ let () =
           Qseed.to_alcotest prop_fptas_flow_feasible;
           Alcotest.test_case "no commodities" `Quick test_fleischer_no_commodities;
           Alcotest.test_case "unreachable" `Quick test_fleischer_unreachable;
+          Alcotest.test_case "unreachable group order" `Quick
+            test_fleischer_unreachable_group_order;
         ] );
       ( "fleischer-extra",
         [
@@ -357,6 +478,8 @@ let () =
             test_restricted_less_than_free;
           Alcotest.test_case "all paths ~ exact" `Quick
             test_restricted_matches_exact_with_all_paths;
+          Alcotest.test_case "flow and lengths certify the bracket" `Quick
+            test_restricted_certified;
         ] );
       ( "solve",
         [
